@@ -9,8 +9,7 @@ S same-spec sessions refreshed through one stacked program replay
 ``bench-results/scoring_latency.json``.
 """
 
-import json
-import os
+import functools
 import time
 
 import numpy as np
@@ -18,26 +17,10 @@ import pytest
 
 from repro.eval import make_detector
 
-TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
-
-RESULTS_DIR = os.environ.get("REPRO_BENCH_DIR", "bench-results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "scoring_latency.json")
+from conftest import TINY, record_result
 
 
-def _record_result(key, payload, skipped_reason=None):
-    """Merge one benchmark's raw numbers into the trajectory JSON."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH) as handle:
-            data = json.load(handle)
-    payload = dict(payload, tiny=TINY, cpu_count=os.cpu_count())
-    if skipped_reason is not None:
-        payload.pop("speedup", None)
-        payload["skipped_reason"] = skipped_reason
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
+_record_result = functools.partial(record_result, "scoring_latency.json")
 
 
 def make_series(seed, length=280):

@@ -21,7 +21,7 @@ not meaningful (single core, tiny mode) records ``skipped_reason`` and no
 not enter the BENCH trajectory looking like a regression.
 """
 
-import json
+import functools
 import os
 import time
 
@@ -32,33 +32,17 @@ from repro.core import RAE
 from repro.serve import StreamRouter
 from repro.stream import StreamScorer
 
+from conftest import TINY, record_result
+
 # A wall-clock ratio assertion has no place in tier-1 (pytest.ini promises
 # fast *and deterministic*); run with `pytest -m slow`.
 pytestmark = pytest.mark.slow
 
-TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
 SHARDS = 8
 WINDOW = 48 if TINY else 128
 ROUNDS = 10 if TINY else 40
 
-RESULTS_DIR = os.environ.get("REPRO_BENCH_DIR", "bench-results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "serve_throughput.json")
-
-
-def _record_result(key, payload, skipped_reason=None):
-    """Merge one benchmark's raw numbers into the trajectory JSON."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH) as handle:
-            data = json.load(handle)
-    payload = dict(payload, tiny=TINY, cpu_count=os.cpu_count())
-    if skipped_reason is not None:
-        payload.pop("speedup", None)
-        payload["skipped_reason"] = skipped_reason
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
+_record_result = functools.partial(record_result, "serve_throughput.json")
 
 
 def make_series(seed, length):

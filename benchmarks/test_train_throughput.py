@@ -30,7 +30,7 @@ measured paths end-to-end in seconds; wall-clock/CPU ratio assertions are
 skipped in tiny mode (the bit-identity assertions are not).
 """
 
-import json
+import functools
 import os
 import time
 
@@ -42,37 +42,14 @@ from repro.core import RAE, RobustEnsemble
 from repro.core.autoencoders import ConvSeriesAE, train_reconstruction
 from repro.nn import tape as nntape
 
-TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
+from conftest import TINY, record_result
+
 LENGTH = 1_200 if TINY else 10_000
 STEP_LENGTH = 800 if TINY else 5_000
 FIT_ITERATIONS = 2 if TINY else 6
 ROUNDS = 1 if TINY else 3
 
-RESULTS_DIR = os.environ.get("REPRO_BENCH_DIR", "bench-results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "train_throughput.json")
-
-
-def _record_result(key, payload, skipped_reason=None):
-    """Merge one benchmark's raw numbers into the trajectory JSON.
-
-    ``skipped_reason`` marks a record whose ratio claim could not be
-    meaningfully measured on this host (single core, tiny mode): the raw
-    timings are still recorded, but no ``speedup`` field is — a sub-1x
-    "speedup" measured where nothing could overlap is not a regression,
-    and must not enter the BENCH trajectory looking like one.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH) as handle:
-            data = json.load(handle)
-    payload = dict(payload, tiny=TINY, cpu_count=os.cpu_count())
-    if skipped_reason is not None:
-        payload.pop("speedup", None)
-        payload["skipped_reason"] = skipped_reason
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
+_record_result = functools.partial(record_result, "train_throughput.json")
 
 
 def make_series(seed, length=LENGTH):

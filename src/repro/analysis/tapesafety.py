@@ -259,8 +259,9 @@ class StackedBufferMutationRule(Rule):
     )
     hint = (
         "hot-swap weights by rebinding the member module's Parameter "
-        ".data (the member token then invalidates the cached program and "
-        "refresh() re-copies), or mutate inside the program's own methods"
+        ".data (the parameter generation moves, and the weight bank "
+        "re-copies that member's row before the next replay), or mutate "
+        "inside the declaring class's own methods"
     )
 
     def check(self, ctx):

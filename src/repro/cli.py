@@ -754,7 +754,10 @@ def _print_router_stats(router, window, detector):
              stats["drains"], window, method), file=sys.stderr)
     cache = stats.get("program_cache")
     if cache is not None:
-        print("program cache: %d hits, %d misses, %d invalidations"
+        # Hits include drains whose members differ from the last one;
+        # invalidations are parameter rebinds (weight hot-swaps) only.
+        print("program cache: %d hits, %d misses, %d invalidations "
+              "(parameter rebinds)"
               % (cache["hits"], cache["misses"], cache["invalidations"]),
               file=sys.stderr)
     for stream_id, per in stats["per_stream"].items():

@@ -36,7 +36,8 @@ with its own weights, share one forward.  :class:`InferencePrograms` is
 the program cache that executes those groups: solo-module groups replay a
 grad-free :class:`repro.nn.tape.ScoreTape`, mixed-detector groups replay a
 :class:`repro.nn.batched.StackedScoreProgram` with the member weights
-stacked along a leading axis.  Both replay the serving kernels'
+gathered along a leading axis from a per-architecture
+:class:`repro.nn.batched.WeightBank`.  Both replay the serving kernels'
 length-stable arithmetic exactly, so compiled scores are bit-identical to
 the eager drain; any group the cache declines (unsupported architecture,
 ``REPRO_EAGER``, poisoned recording) falls back to eager forwards
@@ -221,15 +222,22 @@ class InferencePrograms:
     forwards replay grad-free :func:`repro.nn.tape.score_tape` recordings,
     and cross-detector groups replay
     :class:`repro.nn.batched.StackedScoreProgram` pipelines cached by
-    ``(architecture fingerprint, stacked input shape)``.  ``hits`` /
-    ``misses`` / ``invalidations`` count cache events for
-    ``StreamRouter.stats()``; an invalidation means a member's parameter
-    array was hot-swapped since the program compiled (the program is
-    refreshed from the new weights before it replays).
+    ``(architecture fingerprint, stacked input shape)`` alone.  Each
+    fingerprint has one :class:`repro.nn.batched.WeightBank` holding a
+    stacked copy of every member's weights; a drain's members — whichever
+    they are — are gathered from it before the program replays.
 
-    Thread-safe: the cache map and counters sit behind one lock, and every
-    program serialises its own replays — concurrent drain workers scoring
-    different groups never contend beyond the cache lookup.
+    ``hits`` / ``misses`` / ``invalidations`` count cache events for
+    ``StreamRouter.stats()``.  A lookup that finds its tape or program is
+    a hit, even when the drain's membership differs from the last one (a
+    hit plus a gather); building one is a miss.  An invalidation is a
+    parameter rebind detected at lookup time: a member's weights were
+    hot-swapped since its tape was recorded or its bank row copied, and
+    the tape re-records or the row is re-copied before anything replays.
+
+    Thread-safe: the cache maps and counters sit behind one lock, and every
+    program and bank serialises its own buffers — concurrent drain workers
+    scoring different groups never contend beyond the cache lookup.
     """
 
     _MAX_STACKED = 32
@@ -237,6 +245,7 @@ class InferencePrograms:
     #: Lock discipline, machine-checked by ``repro lint`` (lock-guarded).
     _GUARDED_BY = {
         "_stacked": "_lock",
+        "_banks": "_lock",
         "_hits": "_lock",
         "_misses": "_lock",
         "_invalidations": "_lock",
@@ -244,7 +253,8 @@ class InferencePrograms:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._stacked = {}  # (fingerprint, shape) -> (member token, program|None)
+        self._stacked = {}  # (fingerprint, shape) -> program | None
+        self._banks = {}    # fingerprint -> WeightBank
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
@@ -278,43 +288,46 @@ class InferencePrograms:
 
     # -- program lookup ------------------------------------------------- #
     def _stacked_program(self, fingerprint, modules, shape):
-        """The cached stacked program for this group, refreshed/rebuilt as
-        needed; None when the group cannot compile (cached so repeated
-        drains of an unstackable group pay one plan walk, not one per
-        drain — the member token keys the verdict, so a weight hot-swap
-        retries)."""
-        key = (fingerprint, shape)
-        token = nn_batched.stacked_member_token(modules)
+        """``(program, bank, rows)`` for this group, or None when it cannot
+        compile.  An unbuildable ``(fingerprint, shape)`` is cached as
+        None, so repeated drains of it pay one dict read; a member that
+        does not fit its bank's plan declines only that drain."""
         with self._lock:
-            entry = self._stacked.get(key)
-            if entry is not None and entry[0] == token:
-                if entry[1] is not None:
-                    self._hits += 1
-                return entry[1]
-            if entry is not None:
-                self._invalidations += 1
-                program = entry[1]
+            bank = self._banks.get(fingerprint)
+        if bank is None:
+            try:
+                fresh = nn_batched.WeightBank(modules[0])
+            except ValueError:  # architecture without a stacked template
+                return None
+            with self._lock:
+                bank = self._banks.setdefault(fingerprint, fresh)
+                if bank is fresh and len(self._banks) > self._MAX_STACKED:
+                    self._banks.pop(next(iter(self._banks)))
+        rows, rebound = bank.rows(modules)
+        key = (fingerprint, shape)
+        with self._lock:
+            self._invalidations += rebound
+            if rows is None:
+                return None
+            cached = key in self._stacked
+            program = self._stacked.get(key)
+            if cached:
+                self._hits += program is not None
             else:
                 self._misses += 1
-                program = None
-            self._stacked.pop(key, None)
-        if program is not None:
-            try:
-                program.refresh(modules)
-            except Exception:  # noqa: BLE001 - shape drift; rebuild below
-                program = None
-        if program is None:
+        if not cached:
             plan = nn_batched.stacked_score_plan(modules)
-            if plan is not None:
-                try:
-                    program = nn_batched.StackedScoreProgram(plan, shape)
-                except Exception:  # noqa: BLE001 - unbuildable at this shape
-                    program = None
-        with self._lock:
-            if len(self._stacked) >= self._MAX_STACKED:
-                self._stacked.pop(next(iter(self._stacked)))
-            self._stacked[key] = (token, program)
-        return program
+            try:
+                program = nn_batched.StackedScoreProgram(plan, shape)
+            except Exception:  # noqa: BLE001 - unbuildable at this shape
+                program = None
+            with self._lock:
+                if len(self._stacked) >= self._MAX_STACKED:
+                    self._stacked.pop(next(iter(self._stacked)))
+                self._stacked[key] = program
+        if program is None:
+            return None
+        return program, bank, rows
 
     def score_batch(self, detectors, kind, scaled):
         """Compiled scores for a stacked ``(S, C, D)`` batch, or None.
@@ -341,10 +354,11 @@ class InferencePrograms:
             recon = tape.run(tensor)
         else:
             fingerprint = architecture_fingerprint(detectors[0], kind)
-            program = self._stacked_program(fingerprint, modules, tensor.shape)
-            if program is None:
+            found = self._stacked_program(fingerprint, modules, tensor.shape)
+            if found is None:
                 return None
-            recon = program.run(tensor)
+            program, bank, rows = found
+            recon = program.run(tensor, bank, rows)
         clean = recon.transpose(0, 2, 1)                 # (S, C, D)
         residual = scaled - clean
         pairs = [

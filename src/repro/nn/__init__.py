@@ -27,6 +27,8 @@ from .layers import (
     Tanh,
     Upsample1d,
     Upsample2d,
+    parameter_generation,
+    weights_token,
 )
 from .losses import (
     bce_with_logits,
@@ -55,6 +57,8 @@ __all__ = [
     "UNBOUNDED",
     "Module",
     "Parameter",
+    "parameter_generation",
+    "weights_token",
     "Linear",
     "Conv1d",
     "Conv2d",

@@ -36,29 +36,42 @@ the members' stable score forwards into one shared step plan, and
 whose conv steps run the *exact* length-stable arithmetic of the serial
 serving kernel per member slice (the same per-position channel dot, the
 same tap order, the same in-place accumulation), so slice ``m`` of the
-stacked output is bit-identical to member ``m``'s solo stable forward.
+stacked output is bit-identical to member ``m``'s solo stable forward.  A
+:class:`WeightBank` keeps one stacked copy of every member's conv weights
+per architecture; a program does not depend on which members a drain
+contains and loads its rows from the bank with one ``take`` per conv
+buffer before it replays.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import functional as F
 from . import tape as nn_tape
-from .layers import Conv1d, MaxPool1d, Module, Parameter, ReLU
+from .layers import (
+    Conv1d,
+    MaxPool1d,
+    Module,
+    Parameter,
+    ReLU,
+    parameter_generation,
+    weights_token,
+)
 from .tensor import Tensor, _record, as_tensor, no_grad
 
 __all__ = [
     "BatchedConvSeriesAE",
     "StackedScoreProgram",
+    "WeightBank",
     "bconv1d",
     "batched_mse_loss",
     "batched_clip_grad_norm",
     "batched_train_reconstruction",
-    "stacked_member_token",
     "stacked_score_plan",
 ]
 
@@ -391,20 +404,150 @@ def stacked_score_plan(modules):
     return steps
 
 
-def stacked_member_token(modules):
-    """Identity token of the member modules and their parameter arrays.
-
-    A cached :class:`StackedScoreProgram` holds *copies* of the member
-    weights, so it must be refreshed whenever the membership changes or a
-    member's parameter is hot-swapped to a fresh backing array (the
-    versioned-swap convention: rebind ``.data``, don't mutate a live
-    fitted module's weights in place).
-    """
-    return tuple(
-        (id(module),)
-        + tuple(id(p.data) for __, p in module.named_parameters())
-        for module in modules
+def _member_plan(module):
+    """``(plan, signature)`` of one module's stacked score forward, or
+    ``(None, None)``.  The signature is the plan's structure without its
+    layers — module type, step kinds, conv weight and bias shapes,
+    paddings — so two modules with equal signatures stack."""
+    plan = stacked_score_plan([module])
+    if plan is None:
+        return None, None
+    return plan, (type(module),) + tuple(
+        ("conv", step[1][0].weight.data.shape, step[1][0].bias.data.shape,
+         step[2])
+        if step[0] == "conv" else step
+        for step in plan
     )
+
+
+def _plan_convs(plan):
+    """The first member's conv layers, in plan order."""
+    return [step[1][0] for step in plan if step[0] == "conv"]
+
+
+class WeightBank:
+    """Stacked conv weights of every module seen for one architecture.
+
+    One row per member module: ``weights[i][row]`` and ``biases[i][row]``
+    hold copies of that module's ``i``-th conv weight and bias.  A module
+    gets its row, after a :func:`stacked_score_plan` check against the
+    bank's plan, the first time :meth:`rows` sees it; later lookups at the
+    same :func:`repro.nn.layers.parameter_generation` are one dict read.
+    When the generation moves each member is re-checked once: a module
+    whose parameters were rebound (its :func:`weights_token` changed) is
+    re-planned and its row re-copied.  In-place writes to a member's
+    weights are therefore *not* seen — hot-swap by rebinding ``.data``.
+
+    Rows are keyed by the module object through weak references: a dead
+    module's row is reused, never aliased to a new module through ``id``
+    reuse, and the bank keeps no member alive.
+    """
+
+    #: Stacked parameter buffers the programs gather from; mutating them
+    #: outside this class is flagged by ``repro lint``.
+    _STACKED_BUFFERS = ("weights", "biases")
+
+    #: Lock discipline, machine-checked by ``repro lint`` (lock-guarded).
+    _GUARDED_BY = {"_rows": "_lock", "_size": "_lock"}
+
+    def __init__(self, module):
+        plan, self.signature = _member_plan(module)
+        if plan is None:
+            raise ValueError("%s has no stacked score plan"
+                             % type(module).__name__)
+        convs = _plan_convs(plan)
+        self.weights = [np.empty((0,) + layer.weight.data.shape)
+                        for layer in convs]
+        self.biases = [np.empty((0,) + layer.bias.data.shape)
+                       for layer in convs]
+        #: Bumped on every row write; a program skips its gather when
+        #: neither this nor its row selection changed since its last load.
+        self.version = 0
+        self._rows = weakref.WeakKeyDictionary()  # module -> entry
+        self._size = 0
+        self._lock = threading.Lock()
+
+    def rows(self, modules):
+        """``(rows, rebound)`` for ``modules`` (one row per entry; a
+        module may repeat).
+
+        ``rebound`` counts banked members whose parameters were rebound
+        since their row was copied.  ``rows`` is None when a member does
+        not fit the bank's plan (e.g. a weight swapped to a different
+        shape): the caller falls back to eager forwards.
+        """
+        generation = parameter_generation()
+        rows, rebound = [], 0
+        with self._lock:
+            for module in modules:
+                entry = self._rows.get(module)
+                if entry is None or entry[2] != generation:
+                    if not self._admit_locked(module, entry, generation):
+                        rebound += entry is not None
+                    entry = self._rows[module]
+                if not entry[3]:
+                    return None, rebound
+                rows.append(entry[0])
+        return tuple(rows), rebound
+
+    def _admit_locked(self, module, entry, generation):
+        """Validate ``module``'s row at ``generation``; returns whether its
+        banked weights were already current.
+
+        An entry is ``[row, weights token, generation, accepted]``.
+        """
+        token = weights_token(module)
+        if entry is not None and entry[1] is token:
+            entry[2] = generation
+            return True
+        plan, signature = _member_plan(module)
+        accepted = signature == self.signature
+        row = None if entry is None else entry[0]
+        if accepted:
+            if row is None:
+                row = self._free_row_locked()
+            for w, b, layer in zip(self.weights, self.biases, _plan_convs(plan)):
+                np.copyto(w[row], layer.weight.data)
+                np.copyto(b[row], layer.bias.data)
+            self.version += 1
+        self._rows[module] = [row, token, generation, accepted]
+        return False
+
+    def _free_row_locked(self):
+        capacity = self.weights[0].shape[0]
+        if self._size == capacity:
+            used = {entry[0] for entry in self._rows.values()}
+            for row in range(self._size):
+                if row not in used:  # its module was collected
+                    return row
+            capacity = max(8, 2 * capacity)
+            for stack in (self.weights, self.biases):
+                for i, old in enumerate(stack):
+                    grown = np.empty((capacity,) + old.shape[1:])
+                    grown[: self._size] = old
+                    stack[i] = grown
+        self._size += 1
+        return self._size - 1
+
+    def gather(self, rows, weights, biases):
+        """Copy bank ``rows`` into a program's stacked ``weights`` and
+        ``biases`` (one ``take`` per buffer); returns the bank version the
+        copy reflects."""
+        index = np.asarray(rows, dtype=np.intp)
+        with self._lock:
+            for source, out in zip(self.weights + self.biases,
+                                   list(weights) + list(biases)):
+                source.take(index, axis=0, out=out, mode="clip")
+            return self.version
+
+    def __len__(self):
+        """Live member modules with an entry in the bank."""
+        with self._lock:
+            return len(self._rows)
+
+    def __repr__(self):
+        return "WeightBank(modules=%d, convs=%d)" % (
+            len(self), len(self.weights))
 
 
 class StackedScoreProgram:
@@ -423,9 +566,11 @@ class StackedScoreProgram:
 
     The stacked parameter copies are replay state: mutating them outside
     this class desynchronises the program from its members silently (the
-    ``stacked-weight-mutation`` lint rule flags it).  Hot-swap member
-    weights by rebinding ``.data``; :func:`stacked_member_token` changes
-    and the owning cache calls :meth:`refresh`.
+    ``stacked-weight-mutation`` lint rule flags it).  A program cached for
+    a whole architecture replays different members on every drain:
+    :meth:`run` with a :class:`WeightBank` and a row selection gathers
+    those members' weights first (skipped when neither changed since the
+    last load).
     """
 
     #: Stacked parameter buffers owned by the recorded program; mutating
@@ -439,6 +584,7 @@ class StackedScoreProgram:
         self.weights = []  # one stacked (M, F, C_in, K) array per conv step
         self.biases = []   # one stacked (M, F) array per conv step
         self._steps = []
+        self._loaded = None  # (bank, bank version, rows) last gathered
         self._lock = threading.Lock()
         self.x = np.empty((m, dims, length))
         cur, channels, l_cur = self.x, dims, length
@@ -551,41 +697,27 @@ class StackedScoreProgram:
 
         return step
 
-    def run(self, batch):
+    def run(self, batch, bank=None, rows=None):
         """The stacked reconstruction of ``batch`` (shape ``(M, C_in, L)``).
 
-        Returns the persistent output buffer — consume it before the next
-        ``run``.  Replays are serialised by an internal lock (the buffers
-        are shared mutable state).
+        With a ``bank``, row ``m`` replays with the weights of bank row
+        ``rows[m]``.  Returns the persistent output buffer — consume it
+        before the next ``run``.  Replays are serialised by an internal
+        lock (the buffers are shared mutable state).
         """
         with self._lock:
+            if bank is not None:
+                loaded = self._loaded
+                if (loaded is None or loaded[0] is not bank
+                        or loaded[1] != bank.version or loaded[2] != rows):
+                    version = bank.gather(rows, self.weights, self.biases)
+                    self._loaded = (bank, version, rows)
             if batch is not self.x:
                 np.copyto(self.x, batch)
             for step in self._steps:
                 step()
             self.replays += 1
             return self.out
-
-    def refresh(self, modules):
-        """Re-copy member weights after a hot-swap or membership change.
-
-        Raises when the new members no longer match the compiled structure
-        (e.g. a swapped-in weight of a different shape) — the owning cache
-        then rebuilds or declines, it never replays stale weights.
-        """
-        plan = stacked_score_plan(list(modules))
-        if plan is None:
-            raise ValueError("members no longer share a stackable plan")
-        convs = [step for step in plan if step[0] == "conv"]
-        if len(convs) != len(self.weights):
-            raise ValueError("member layer structure changed since compile")
-        for w, b, step in zip(self.weights, self.biases, convs):
-            members = step[1]
-            if len(members) != w.shape[0]:
-                raise ValueError("member count changed since compile")
-            for j, layer in enumerate(members):
-                np.copyto(w[j], layer.weight.data)
-                np.copyto(b[j], layer.bias.data)
 
     def __repr__(self):
         return "StackedScoreProgram(members=%d, convs=%d, replays=%d)" % (

@@ -8,6 +8,8 @@ activations, dropout, and layer normalisation (for the transformer baseline).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from . import functional as F
@@ -33,14 +35,72 @@ __all__ = [
     "Sequential",
     "Dropout",
     "LayerNorm",
+    "parameter_generation",
+    "weights_token",
 ]
+
+# Process-wide parameter generation: bumped after every rebind of a
+# Parameter's ``.data`` to a different array (construction included).
+# In-place writes keep the array and leave the generation alone.
+_GENERATION = [0]
+_GENERATION_LOCK = threading.Lock()
+_DATA_SLOT = Tensor.data
+
+
+def parameter_generation():
+    """The current parameter generation (see :class:`Parameter`)."""
+    return _GENERATION[0]
 
 
 class Parameter(Tensor):
-    """A Tensor registered as a learnable parameter of a Module."""
+    """A Tensor registered as a learnable parameter of a Module.
+
+    ``.data`` is versioned: rebinding it to a different array bumps the
+    process-wide :func:`parameter_generation` (after the write, under a
+    lock, so concurrent rebinds are never lost).  In-place writes
+    (``np.copyto``, ``p.data -= x``, the optimisers) keep the array and
+    do not.  Compiled inference programs key their weight copies on that
+    counter, so hot-swap a served module's weights by rebinding ``.data``.
+    """
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
+
+    def _set_data(self, value):
+        try:
+            if _DATA_SLOT.__get__(self) is value:
+                return
+        except AttributeError:  # first assignment, from Tensor.__init__
+            pass
+        _DATA_SLOT.__set__(self, value)
+        with _GENERATION_LOCK:
+            _GENERATION[0] += 1
+
+    data = property(_DATA_SLOT.__get__, _set_data)
+
+
+def weights_token(module):
+    """Identity token of the arrays backing ``module``'s parameters.
+
+    A tuple holding those arrays (so none of them can be freed and its
+    ``id`` reused while a token is alive), memoised per module against
+    :func:`parameter_generation`: while no parameter anywhere is rebound,
+    a lookup is one dict read.  When the generation moves the walk runs
+    again, and the previous token object is returned unchanged if every
+    array is still the same — so ``token is previous`` means "no
+    parameter of ``module`` was rebound since".
+    """
+    generation = _GENERATION[0]
+    memo = module.__dict__.get("_weights_token")
+    if memo is not None and memo[0] == generation:
+        return memo[1]
+    arrays = tuple(p.data for __, p in module.named_parameters())
+    if memo is not None and len(memo[1]) == len(arrays) and all(
+        a is b for a, b in zip(memo[1], arrays)
+    ):
+        arrays = memo[1]
+    module.__dict__["_weights_token"] = (generation, arrays)
+    return arrays
 
 
 class Module:

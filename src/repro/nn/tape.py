@@ -46,7 +46,8 @@ shape)`` and replays just the op closures with persistent output buffers;
 because recording runs *inside* ``no_grad()``/``stable_kernels()``, the
 closures bake in the length-stable serving arithmetic and replay it
 bit-identically.  :func:`score_tape` is the shape-keyed cache (invalidated
-when a parameter's backing array is hot-swapped), honouring the same
+when a parameter's backing array is hot-swapped, an O(1) check against
+:func:`repro.nn.layers.weights_token`), honouring the same
 ``REPRO_EAGER`` opt-out as the training tape.
 """
 
@@ -441,19 +442,6 @@ def release_tapes(model):
 _MAX_SCORE_TAPES_PER_MODULE = 6
 
 
-def _weights_token(module):
-    """Identity token of the arrays backing ``module``'s parameters.
-
-    Hot-swapping a parameter's value *in place* (``np.copyto``) keeps the
-    token — the recorded closures read ``weight.data`` live, so in-place
-    swaps replay correctly without re-recording.  *Rebinding* ``.data`` to
-    a fresh array (weight hot-swap via assignment, ``load_state_dict``
-    implementations that rebind) changes the token and invalidates the
-    recording.
-    """
-    return tuple(id(p.data) for __, p in module.named_parameters())
-
-
 class ScoreTape:
     """One recorded no-grad score forward, replayable with fresh inputs.
 
@@ -550,6 +538,11 @@ def score_tape(module, shape):
     serving layer's program-cache counters, or None when the lookup never
     consulted the cache; an ``"invalidated"`` event means a parameter's
     backing array was hot-swapped since the recording, which re-records.
+
+    In-place writes to the weights (``np.copyto``) keep the token — the
+    recorded closures read ``weight.data`` live, so they replay correctly
+    without re-recording.  *Rebinding* ``.data`` to a fresh array changes
+    the token and invalidates the recording.
     """
     if not _ENABLED[0]:
         return None, None
@@ -562,11 +555,11 @@ def score_tape(module, shape):
     cache = state.get("_score_tape_cache")
     if cache is None:
         cache = state["_score_tape_cache"] = {}
-    token = _weights_token(module)
+    token = layers.weights_token(module)
     key = tuple(int(d) for d in shape)
     entry = cache.get(key)
     event = "hit"
-    if entry is not None and entry[0] != token:
+    if entry is not None and entry[0] is not token:
         cache.pop(key, None)
         entry = None
         event = "invalidated"

@@ -57,8 +57,13 @@ class FrontendEngine:
     """Shared submit/drain/deliver core for every serving frontend.
 
     Thread-safe throughout: any number of connection threads may submit
-    and trigger drains concurrently (drains serialise on the router's own
-    drain lock; segment bookkeeping on the engine lock).
+    and trigger drains concurrently.  Drains serialise on the router's
+    drain lock, and each attributes its scores to origins before that
+    lock is released (``StreamRouter.drain``'s ``on_drained`` hook), so
+    attribution follows the order in which drains popped the queue;
+    sinks are called after the lock is released.  :meth:`wait_delivered`
+    lets a caller wait for rows that a concurrent drain attributed to
+    its origin but has not handed to its sink yet.
     """
 
     #: Lock discipline, machine-checked by ``repro lint`` (lock-guarded).
@@ -71,17 +76,22 @@ class FrontendEngine:
         "_failed": "_lock",
         "_pending": "_lock",
         "_unrouted": "_lock",
+        "_drop_total_seen": "_lock",
+        "_in_flight": "_lock",
     }
 
     def __init__(self, router, drain_every=32):
         self.router = router
         self.drain_every = max(int(drain_every), 1)
         self._lock = threading.Lock()
+        self._delivered = threading.Condition(self._lock)
         self._sinks = {}  # origin -> callable(rows)
         self._segments = {}  # stream_id -> deque of [origin, count]
         self._emitted = {}  # stream_id -> next output index
         self._errors = {}  # stream_id -> malformed/rejected submissions
         self._dropped_seen = {}  # stream_id -> router drop count reconciled
+        self._drop_total_seen = None  # router drop total last reconciled
+        self._in_flight = {}  # origin -> deliveries attributed, not yet sunk
         self._failed = {}  # stream_id -> last drain failure (str)
         self._pending = 0  # engine-submitted arrivals not yet drained
         self._unrouted = 0  # scores with no owning origin (pre-engine queue)
@@ -96,6 +106,25 @@ class FrontendEngine:
     def unregister(self, origin):
         with self._lock:
             self._sinks.pop(origin, None)
+
+    def failure(self, stream_id):
+        """Why ``stream_id`` failed the last drain, or None."""
+        with self._lock:
+            return self._failed.get(stream_id)
+
+    def wait_delivered(self, origin, timeout=5.0):
+        """Block until every row a drain attributed to ``origin`` has been
+        handed to its sink.  A concurrent drain may have scored
+        ``origin``'s arrivals and still be delivering them after
+        ``origin``'s own drain returned.  Returns False on timeout."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            while origin in self._in_flight:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._delivered.wait(remaining)
+            return True
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -178,31 +207,63 @@ class FrontendEngine:
         failing streams' arrivals (so their segments stay, aligned for the
         retry) and the failures are surfaced through :meth:`stats`.
         """
+        attributed = []
+
+        def attribute(results, failures):
+            attributed.append(self._attribute(results, failures))
+
         try:
-            results = self.router.drain()
-            failures = {}
-        except DrainError as exc:
-            results, failures = exc.results, exc.failures
-        stats = self.router.stats()
-        per_stream = stats["per_stream"]
+            self.router.drain(on_drained=attribute)
+        except DrainError:
+            pass  # attribute() saw the failures; the arrivals re-queued
+        deliveries, sinks = attributed[0]
+        # Deliver outside the locks: a sink is a socket write and must
+        # never block other producers' submissions or drains.
+        for origin, rows in deliveries.items():
+            sink = sinks.get(origin)
+            if sink is None:
+                continue
+            try:
+                sink(rows)
+            except Exception:  # noqa: BLE001 - a dead client loses only
+                pass  # its own rows; the frontend unregisters it on exit
+            finally:
+                with self._lock:
+                    left = self._in_flight[origin] - 1
+                    if left:
+                        self._in_flight[origin] = left
+                    else:
+                        del self._in_flight[origin]
+                        self._delivered.notify_all()
+        return deliveries
+
+    def _attribute(self, results, failures):
+        """Split a drain's scores into per-origin rows; returns
+        ``(deliveries, sinks)`` with each delivered origin counted in
+        flight until its sink has been called."""
         deliveries = {}
         with self._lock:
-            self._pending = stats["queue_depth"]
+            depth, drops, scored, dropped = self.router.drain_counters(
+                [sid for sid in results if sid not in self._emitted],
+                self._drop_total_seen,
+            )
+            self._pending = depth
+            self._drop_total_seen = drops
             self._failed = {stream_id: str(exc)
                             for stream_id, exc in failures.items()}
             # Reconcile drop_oldest evictions first: the dropped arrivals
             # were the oldest queued, i.e. the front of their segments.
-            for stream_id, entry in per_stream.items():
-                delta = entry["dropped"] - self._dropped_seen.get(stream_id, 0)
+            for stream_id, count in (dropped or {}).items():
+                delta = count - self._dropped_seen.get(stream_id, 0)
                 if delta:
                     self._trim_segments_locked(stream_id, delta)
-                self._dropped_seen[stream_id] = entry["dropped"]
+                self._dropped_seen[stream_id] = count
             for stream_id, scores in results.items():
                 start = self._emitted.get(stream_id)
                 if start is None:
                     # First sight of this stream: seed so indices continue
                     # where a previous process (restored router) stopped.
-                    start = per_stream[stream_id]["scored"] - len(scores)
+                    start = scored[stream_id] - len(scores)
                 segments = self._segments.get(stream_id)
                 offset = 0
                 while segments and offset < len(scores):
@@ -223,18 +284,11 @@ class FrontendEngine:
                     # their scores.
                     self._unrouted += len(scores) - offset
                 self._emitted[stream_id] = start + len(scores)
-            sinks = dict(self._sinks)
-        # Deliver outside the engine lock: a sink is a socket write and
-        # must never block other producers' submissions.
-        for origin, rows in deliveries.items():
-            sink = sinks.get(origin)
-            if sink is None:
-                continue
-            try:
-                sink(rows)
-            except Exception:  # noqa: BLE001 - a dead client loses only
-                pass  # its own rows; the frontend unregisters it on exit
-        return deliveries
+            sinks = {origin: self._sinks[origin] for origin in deliveries
+                     if origin in self._sinks}
+            for origin in sinks:
+                self._in_flight[origin] = self._in_flight.get(origin, 0) + 1
+        return deliveries, sinks
 
     def _trim_segments_locked(self, stream_id, count):
         segments = self._segments.get(stream_id)
@@ -429,7 +483,8 @@ class _HttpHandler(BaseHTTPRequestHandler):
         origin = object()
         collected = []
         engine.register(origin, collected.extend)
-        errors, accepted = [], 0
+        errors, accepted, per_stream = [], 0, {}
+        drain = document.get("drain", True)
         try:
             for i, arrival in enumerate(arrivals):
                 stream_id = (arrival.get("stream")
@@ -443,15 +498,35 @@ class _HttpHandler(BaseHTTPRequestHandler):
                                    "need {\"stream\": str, \"values\": ...}"})
                     continue
                 try:
-                    accepted += engine.submit_rows(origin, stream_id, values)
+                    count = engine.submit_rows(origin, stream_id, values)
                 except Exception as exc:  # noqa: BLE001 - per-arrival report
                     engine.count_error(stream_id)
                     errors.append({"arrival": i, "stream": stream_id,
                                    "error": str(exc)})
-            if document.get("drain", True):
+                    continue
+                accepted += count
+                per_stream[stream_id] = per_stream.get(stream_id, 0) + count
+            if drain:
                 engine.drain()
+                # Another request's drain may have scored our arrivals
+                # and still be delivering them.
+                engine.wait_delivered(origin)
         finally:
             engine.unregister(origin)
+        if drain:
+            # Every accepted arrival is in the reply or reported here:
+            # its stream failed to drain (re-queued), it was evicted, or
+            # a concurrent drain's delivery outlasted wait_delivered.
+            for stream_id, __, ___ in collected:
+                per_stream[stream_id] = per_stream.get(stream_id, 0) - 1
+            for stream_id, missing in per_stream.items():
+                if missing > 0:
+                    errors.append({"stream": stream_id, "error": (
+                        "%d accepted arrival(s) missing from this reply: "
+                        "%s" % (
+                            missing, engine.failure(stream_id)
+                            or "re-queued, dropped from a full queue, or "
+                            "not delivered in time"))})
         self._json(200, {
             "accepted": accepted,
             "scores": [{"stream": stream_id, "index": index, "score": score}

@@ -224,6 +224,7 @@ class StreamRouter:
         "_submitted": "_lock",
         "_scored": "_lock",
         "_dropped": "_lock",
+        "_drops": "_lock",
         "_dims": "_lock",
         "_drains": "_lock",
         "_shards": "_lock",
@@ -274,6 +275,7 @@ class StreamRouter:
         self._submitted = {}
         self._scored = {}
         self._dropped = {}
+        self._drops = 0  # sum of _dropped
         self._drains = 0
         # _lock guards the queue, counters and shard registry (submit-side
         # state); _drain_lock serialises whole drains.  Lock order: a drain
@@ -381,6 +383,7 @@ class StreamRouter:
                 )
             old_sid, __ = self._queue.popleft()
             self._dropped[old_sid] += 1
+            self._drops += 1
         self._queue.append((stream_id, row))
         self._submitted[stream_id] += 1
 
@@ -498,7 +501,7 @@ class StreamRouter:
             }))
         return scored
 
-    def drain(self, max_points=None):
+    def drain(self, max_points=None, on_drained=None):
         """Score queued arrivals; returns ``{stream_id: scores}``.
 
         Pops up to ``max_points`` arrivals (all by default) in FIFO order,
@@ -518,14 +521,18 @@ class StreamRouter:
         faulty streams' arrivals return to the front of the queue, and a
         :class:`DrainError` carrying both the healthy results and the
         per-stream failures is raised.
+
+        ``on_drained(results, failures)``, when given, is called with this
+        drain's results and per-stream exceptions (both possibly empty)
+        before the next drain can start: a caller that attributes scores
+        to the producers of the arrivals sees drains in the order they
+        popped the queue.
         """
         with self._drain_lock:
             with self._lock:
                 count = len(self._queue)
                 if max_points is not None:
                     count = min(count, max(int(max_points), 0))
-                if not count:
-                    return {}
                 chunks = {}
                 for __ in range(count):
                     stream_id, row = self._queue.popleft()
@@ -538,6 +545,10 @@ class StreamRouter:
                 # (drains are serialised, submit never runs a scorer).
                 shards = {stream_id: self._shards[stream_id]
                           for stream_id in chunks}
+            if not chunks:
+                if on_drained is not None:
+                    on_drained({}, {})
+                return {}
             # Partition the burst into same-architecture shard groups —
             # the unit that shares grouped forwards, hence the unit of
             # backend parallelism.  Keyed by architecture fingerprint, so
@@ -571,10 +582,13 @@ class StreamRouter:
                     self._scored[stream_id] += scores.shape[0]
                 self._drains += 1
                 self._absorb_program_counters_locked()
-        # Streams appear in first-arrival order of the drain, exactly as
-        # the serial implementation always returned them.
-        results = {stream_id: results[stream_id]
-                   for stream_id in chunks if stream_id in results}
+            # Streams appear in first-arrival order of the drain, exactly
+            # as the serial implementation always returned them.
+            results = {stream_id: results[stream_id]
+                       for stream_id in chunks if stream_id in results}
+            if on_drained is not None:
+                on_drained(results, {sid: exc for sid, (exc, __)
+                                     in failures.items()})
         if failures:
             raise DrainError(
                 "%d stream(s) failed to ingest (%s); their arrivals were "
@@ -830,6 +844,7 @@ class StreamRouter:
             router._submitted[entry["id"]] = entry["submitted"]
             router._scored[entry["id"]] = entry["scored"]
             router._dropped[entry["id"]] = entry["dropped"]
+            router._drops += entry["dropped"]
             if entry.get("dims_seen") is not None:
                 router._dims[entry["id"]] = entry["dims_seen"]
         for stream_id, row in manifest["queue"]:
@@ -891,6 +906,24 @@ class StreamRouter:
         with self._lock:
             return self._stream_stats_locked(stream_id)
 
+    def drain_counters(self, scored_for=(), drops_seen=None):
+        """The counters a frontend reconciles after each drain, read under
+        one lock acquisition and nothing more.
+
+        Returns ``(queue_depth, drops, scored, dropped)``: ``drops`` is
+        the router's total of dropped arrivals, ``scored`` maps each id in
+        ``scored_for`` to its scored count, and ``dropped`` maps every
+        stream to its dropped count — or is None when ``drops`` still
+        equals ``drops_seen`` (nothing was evicted since the caller last
+        looked), so the common case copies nothing per stream.
+        """
+        with self._lock:
+            dropped = (None if self._drops == drops_seen
+                       else dict(self._dropped))
+            scored = {stream_id: self._scored[stream_id]
+                      for stream_id in scored_for}
+            return len(self._queue), self._drops, scored, dropped
+
     def stats(self):
         """Router-level stats plus a per-stream breakdown.
 
@@ -908,11 +941,14 @@ class StreamRouter:
                 "drains": self._drains,
                 "submitted": sum(self._submitted.values()),
                 "scored": sum(self._scored.values()),
-                "dropped": sum(self._dropped.values()),
+                "dropped": self._drops,
                 # Compiled-inference program cache: hits/misses are tape
-                # and stacked-program lookups, invalidations are weight
-                # hot-swaps detected at replay time.  Aggregated across
-                # backends (worker processes ship their deltas home).
+                # and stacked-program lookups (a drain whose membership
+                # differs from the last one is a hit plus a weight
+                # gather); invalidations count only parameter rebinds
+                # (weight hot-swaps) detected at lookup time.  Aggregated
+                # across backends (worker processes ship their deltas
+                # home).
                 "program_cache": dict(self._prog_counters),
                 "per_stream": {
                     stream_id: self._stream_stats_locked(stream_id)

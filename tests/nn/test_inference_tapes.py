@@ -5,7 +5,8 @@ The serving-level contract (bit-identical compiled drains) lives in
 blocks directly: :class:`repro.nn.tape.ScoreTape` record/replay,
 shape-keyed caching with hot-swap invalidation,
 :func:`repro.nn.batched.stacked_score_plan`'s accept/decline decisions,
-and :class:`repro.nn.batched.StackedScoreProgram` replay + refresh.
+and :class:`repro.nn.batched.StackedScoreProgram` replay, loading its
+members from a :class:`repro.nn.batched.WeightBank`.
 """
 
 import numpy as np
@@ -131,12 +132,14 @@ def test_stacked_program_refresh_follows_hot_swap():
     program = nnbatched.StackedScoreProgram(
         nnbatched.stacked_score_plan(modules), x.shape
     )
-    program.run(x)
-    before = nnbatched.stacked_member_token(modules)
+    bank = nnbatched.WeightBank(modules[0])
+    rows, rebound = bank.rows(modules)
+    assert rebound == 0
+    program.run(x, bank, rows)
     modules[0].readout.weight.data = modules[0].readout.weight.data * 3.0
-    assert nnbatched.stacked_member_token(modules) != before
-    program.refresh(modules)
-    stacked = program.run(x).copy()
+    same_rows, rebound = bank.rows(modules)
+    assert same_rows == rows and rebound == 1
+    stacked = program.run(x, bank, rows).copy()
     for j, module in enumerate(modules):
         assert np.array_equal(stacked[j], eager_forward(module, x[j:j + 1])[0])
 
@@ -148,5 +151,7 @@ def test_stacked_program_rejects_wrong_member_count():
     )
     with pytest.raises(ValueError):
         program.run(batch(m=3))
+    bank = nnbatched.WeightBank(modules[0])
+    rows, __ = bank.rows(modules[:1])
     with pytest.raises(ValueError):
-        program.refresh(modules[:1])
+        program.run(batch(m=2), bank, rows)

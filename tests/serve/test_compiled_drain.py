@@ -211,6 +211,53 @@ def test_eager_mode_records_no_cache_activity():
     }
 
 
+def rotating_drains(detectors, compiled):
+    """Warm every stream, then drain a different three of the four
+    streams each time.  Returns the rotated drains' results and the
+    program-cache totals after warm-up, after the first rotated drain,
+    and at the end."""
+    previous = nntape.set_tape_enabled(compiled)
+    try:
+        router = StreamRouter(window=32, min_points=2)
+        for index, detector in enumerate(detectors):
+            router.add_stream("s%d" % index, detector)
+        for chunk in serve_chunks(chunks=3, rows=16):
+            for index in range(4):
+                router.submit_many("s%d" % index, chunk)
+            router.drain()
+        caches = [router.stats()["program_cache"]]
+        drained = []
+        for step, chunk in enumerate(serve_chunks(seed=5, chunks=8, rows=8)):
+            for index in range(4):
+                if index != step % 4:
+                    router.submit_many("s%d" % index, chunk + 0.1 * index)
+            drained.append({sid: scores.copy()
+                            for sid, scores in router.drain().items()})
+            if step == 0:
+                caches.append(router.stats()["program_cache"])
+        caches.append(router.stats()["program_cache"])
+        router.close()
+        return drained, caches
+    finally:
+        nntape.set_tape_enabled(previous)
+
+
+def test_rotating_membership_is_a_hit_not_an_invalidation():
+    """Drains whose membership differs from the last one, with no weight
+    hot-swap, reuse the cached stacked program (a hit plus a gather of
+    the members' bank rows) and count no invalidation."""
+    detectors = fitted_fleet("RAE", count=4)
+    eager, __ = rotating_drains(detectors, compiled=False)
+    compiled, (__, first, final) = rotating_drains(detectors, compiled=True)
+    for a, b in zip(eager, compiled):
+        assert set(a) == set(b)
+        for sid in a:
+            assert np.array_equal(a[sid], b[sid]), sid
+    assert final["invalidations"] == 0
+    assert final["misses"] == first["misses"]
+    assert final["hits"] >= first["hits"] + 7  # every later rotation
+
+
 # --------------------------------------------------------------------- #
 # fault injection: a botched hot-swap inside a cross-detector group
 # --------------------------------------------------------------------- #

@@ -207,6 +207,9 @@ def test_tcp_second_client_never_sees_first_clients_scores(tcp_frontend):
     try:
         one.send("s,1.0")
         one.send("s,2.0")
+        # Queue one's rows before two's: the connections are read by
+        # different threads, so send order alone does not fix queue order.
+        wait_pending(tcp_frontend.engine, 2)
         two.send("s,3.0")
         wait_pending(tcp_frontend.engine, 3)
         one.send("?drain")
@@ -360,3 +363,79 @@ def test_http_and_tcp_share_one_engine_and_stream_indices():
         http.stop()
         tcp.stop()
         engine.router.close()
+
+
+def test_http_reply_holds_rows_a_concurrent_drain_delivers_late():
+    """Request A's reply must hold every arrival it accepted even when
+    request B's drain scored them: B pops A's rows, A's own drain comes
+    back empty, and B's delivery to A is held until A's drain has
+    returned.  A may only reply once those rows have reached it."""
+    import threading
+    import time
+
+    engine = make_engine()
+    router = engine.router
+    http = HttpFrontend(engine, port=0).start()
+    original_drain = engine.drain
+    original_router_drain = router.drain
+    original_register = engine.register
+    b_popped, a_drained = threading.Event(), threading.Event()
+    b_thread = threading.Thread(target=original_drain)
+
+    def router_drain(*args, **kwargs):
+        out = original_router_drain(*args, **kwargs)
+        if threading.current_thread() is b_thread:
+            b_popped.set()
+        return out
+
+    def drain_a():
+        # B's drain pops A's queued rows before A's drain runs.
+        b_thread.start()
+        assert b_popped.wait(5)
+        try:
+            return original_drain()
+        finally:
+            a_drained.set()
+
+    def register(origin, sink):
+        def held(rows):
+            if threading.current_thread() is b_thread:
+                assert a_drained.wait(5)
+                time.sleep(0.05)  # let A reply first, if it is going to
+            sink(rows)
+        original_register(origin, held)
+
+    router.drain = router_drain
+    engine.drain = drain_a
+    engine.register = register
+    try:
+        body = json.dumps({"arrivals": [
+            {"stream": "s", "values": [1.0, 2.0, 3.0]}]}).encode()
+        __, reply = http_post(http.address, "/submit", body)
+        b_thread.join(5)
+        assert reply["accepted"] == 3
+        assert reply["scores"] == [
+            {"stream": "s", "index": i, "score": v}
+            for i, v in enumerate([1.0, 2.0, 3.0])
+        ]
+        assert reply["errors"] == []
+    finally:
+        del router.drain, engine.drain, engine.register
+        http.stop()
+        router.close()
+
+
+def test_http_reply_reports_accepted_arrivals_that_failed_to_score(
+        http_frontend):
+    body = json.dumps({"arrivals": [
+        {"stream": "bad", "values": [1.0, POISON]},
+        {"stream": "good", "values": [2.0, 3.0]},
+    ]}).encode()
+    __, reply = http_post(http_frontend.address, "/submit", body)
+    assert reply["accepted"] == 4
+    assert [row["stream"] for row in reply["scores"]] == ["good", "good"]
+    assert len(reply["errors"]) == 1
+    assert reply["errors"][0]["stream"] == "bad"
+    assert reply["errors"][0]["error"].startswith(
+        "2 accepted arrival(s) missing from this reply: ")
+    assert "tripwire" in reply["errors"][0]["error"]
