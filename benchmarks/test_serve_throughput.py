@@ -7,11 +7,12 @@ grouped forward pass per drain, while the naive deployment (a dedicated
 stream per arrival.  With 8 RAE shards the batched drain must be at least
 2x faster per round of arrivals — and numerically identical to the
 sequential path.  A second bench covers the orthogonal axis: shards with
-*independent* detectors cannot share a grouped forward, so the threaded
-drain backend scores their shard groups concurrently and must beat the
-serial backend by >= 1.5x on a multi-core host (bit-identically), and the
-process backend — true CPU parallelism, no GIL — by >= 1.8x with two
-workers.
+*independent* detectors cannot share a grouped forward, so the process
+drain backend scores their shard groups on worker processes and must beat
+the serial backend by >= 1.8x with two workers (bit-identically).  A
+record-only capacity sweep times both backends over shards x window x
+model width x chunk, without a ratio gate, as the evidence for keeping or
+removing the process backend.
 
 ``REPRO_BENCH_TINY=1`` shrinks sizes for CI smoke runs and skips the
 wall-clock ratio assertions (never the equality assertions).  Raw numbers
@@ -22,6 +23,7 @@ not enter the BENCH trajectory looking like a regression.
 """
 
 import functools
+import itertools
 import os
 import time
 
@@ -41,6 +43,14 @@ pytestmark = pytest.mark.slow
 SHARDS = 8
 WINDOW = 48 if TINY else 128
 ROUNDS = 10 if TINY else 40
+
+# Capacity sweep grid (16 cells): shard count x window x base model width
+# x arrivals per stream per drain.
+SWEEP_SHARDS = (2, 4) if TINY else (8, 32)
+SWEEP_WINDOWS = (48, 96) if TINY else (128, 1024)
+SWEEP_WIDTHS = (4, 8) if TINY else (12, 48)
+SWEEP_CHUNKS = (1, 4) if TINY else (1, 32)
+SWEEP_ROUNDS = 3 if TINY else 12
 
 _record_result = functools.partial(record_result, "serve_throughput.json")
 
@@ -115,7 +125,7 @@ def _independent_shard_fixture():
     Different architectures are the worst case for grouped forwards
     (nothing batches or stacks across shards — distinct same-spec
     detectors would now share one fingerprint group and a stacked compiled
-    forward, see ``compiled_drain``) and the best case for the threaded
+    forward, see ``compiled_drain``) and the best case for a parallel
     backend (every shard group is parallel work).
     """
     detectors = [
@@ -128,64 +138,27 @@ def _independent_shard_fixture():
     return detectors, histories, live
 
 
-def _run_router(router, detectors, histories, live):
-    """Feed the fixture through a router; returns (scores, drain times)."""
-    for shard in range(SHARDS):
-        router.add_stream(shard, detector=detectors[shard]).seed(
-            histories[shard]
+def _run_router(router, detectors, histories, live, chunk=1,
+                rounds=ROUNDS):
+    """Feed the fixture through a router, ``chunk`` arrivals per stream per
+    drain; returns (scores shaped ``(rounds, shards, chunk)``, drain
+    times)."""
+    for shard, detector in enumerate(detectors):
+        router.add_stream(shard, detector=detector).seed(
+            histories[shard][-router.window:]
         )
-    scores = np.zeros((SHARDS, ROUNDS))
-    seconds = []
-    for round_ in range(ROUNDS):
-        for shard in range(SHARDS):
-            router.submit(shard, live[shard][round_])
+    scores, seconds = [], []
+    for round_ in range(rounds):
+        for shard in range(len(detectors)):
+            router.submit_many(
+                shard, live[shard][round_ * chunk:(round_ + 1) * chunk]
+            )
         started = time.perf_counter()
         results = router.drain()
         seconds.append(time.perf_counter() - started)
-        for shard in range(SHARDS):
-            scores[shard, round_] = results[shard][0]
+        scores.append([results[shard] for shard in range(len(detectors))])
     router.close()
-    return scores, seconds
-
-
-def test_threaded_drain_beats_serial_on_independent_shards():
-    """The threaded backend's claim: >= 1.5x on independent-detector shards.
-
-    Skipped on single-core hosts — the backend parallelises CPU work, and
-    a 1-core box has nothing to overlap (correctness of the threaded path
-    is covered machine-independently in tests/serve/test_router.py).
-    """
-    detectors, histories, live = _independent_shard_fixture()
-
-    serial_scores, serial_seconds = _run_router(
-        StreamRouter(window=WINDOW), detectors, histories, live
-    )
-    threaded_scores, threaded_seconds = _run_router(
-        StreamRouter(window=WINDOW, drain_backend="threaded", workers=4),
-        detectors, histories, live,
-    )
-
-    # The backend changes where forwards run, never what they compute.
-    assert np.array_equal(threaded_scores, serial_scores)
-
-    serial = float(np.median(serial_seconds))
-    threaded = float(np.median(threaded_seconds))
-    speedup = serial / max(threaded, 1e-12)
-    cores = os.cpu_count() or 1
-    print("\nper-round drain over %d independent-detector shards "
-          "(window=%d, %d cores): serial %.2f ms, threaded %.2f ms (%.1fx)"
-          % (SHARDS, WINDOW, cores, 1e3 * serial, 1e3 * threaded, speedup))
-    reason = _ratio_skip_reason(cores)
-    _record_result("threaded_drain", {
-        "shards": SHARDS, "window": WINDOW, "workers": 4,
-        "serial_ms": 1e3 * serial, "threaded_ms": 1e3 * threaded,
-        "speedup": speedup,
-    }, skipped_reason=reason)
-    if reason is not None:
-        pytest.skip(reason + " (equality asserted above)")
-    assert speedup >= 1.5, (
-        "threaded drain only %.1fx faster than serial" % speedup
-    )
+    return np.array(scores), seconds
 
 
 def _ratio_skip_reason(cores):
@@ -299,3 +272,54 @@ def test_process_drain_beats_serial_on_independent_shards():
         "process drain only %.1fx faster than serial with 2 workers"
         % speedup
     )
+
+
+def test_drain_backend_capacity_sweep():
+    """Record-only: serial vs process(2) median per-drain time per cell.
+
+    Every shard gets its own architecture (``kernels = width + i``), so
+    each shard is its own drain group — the regime in which a parallel
+    backend has work to spread.  No ratio is asserted; the cells land in
+    ``serve_throughput.json`` under ``drain_backend_capacity_sweep``.
+    Scores must be bit-equal across backends in every cell.
+    """
+    fleet_size = max(SWEEP_SHARDS)
+    histories = [make_series(10 + i, max(SWEEP_WINDOWS))
+                 for i in range(fleet_size)]
+    live = [make_series(50 + i, SWEEP_ROUNDS * max(SWEEP_CHUNKS))
+            for i in range(fleet_size)]
+    cells = []
+    print("\nshards window width chunk  serial_ms process_ms")
+    for width in SWEEP_WIDTHS:
+        detectors = [
+            RAE(max_iterations=2 if TINY else 4, kernels=width + i,
+                num_layers=3, seed=i).fit(make_series(i, 400))
+            for i in range(fleet_size)
+        ]
+        for shards, window, chunk in itertools.product(
+                SWEEP_SHARDS, SWEEP_WINDOWS, SWEEP_CHUNKS):
+            fleet = (detectors[:shards], histories[:shards], live[:shards])
+            serial_scores, serial_seconds = _run_router(
+                StreamRouter(window=window), *fleet, chunk=chunk,
+                rounds=SWEEP_ROUNDS,
+            )
+            process_scores, process_seconds = _run_router(
+                StreamRouter(window=window, drain_backend="process",
+                             workers=2),
+                *fleet, chunk=chunk, rounds=SWEEP_ROUNDS,
+            )
+            assert np.array_equal(process_scores, serial_scores), (
+                shards, window, width, chunk)
+            serial = float(np.median(serial_seconds))
+            process = float(np.median(process_seconds))
+            cells.append({
+                "shards": shards, "window": window, "width": width,
+                "chunk": chunk, "serial_ms": 1e3 * serial,
+                "process_ms": 1e3 * process,
+            })
+            print("%6d %6d %5d %5d %10.2f %10.2f"
+                  % (shards, window, width, chunk, 1e3 * serial,
+                     1e3 * process))
+    _record_result("drain_backend_capacity_sweep", {
+        "workers": 2, "rounds": SWEEP_ROUNDS, "cells": cells,
+    })

@@ -8,7 +8,7 @@ Usage::
     python -m repro pipeline --spec pipeline.json --input series.csv --save model
     python -m repro demo --method RAE
     python -m repro stream --method RAE --input - --train 200 --window 128
-    python -m repro serve --model rae.npz --input - --state-dir state/ --workers 4
+    python -m repro serve --model rae.npz --input - --state-dir state/
     python -m repro serve --model rae.npz --tcp 9000 --http 9001 --drain-backend process
 
 ``detect`` reads a CSV whose columns are the series dimensions (an optional
@@ -262,20 +262,17 @@ def build_parser():
     serve.add_argument("--drain-every", type=int, default=32,
                        help="arrivals buffered between scoring drains")
     serve.add_argument("--workers", type=int, default=None,
-                       help="drain worker count; with --drain-backend auto, "
-                            ">1 selects the 'threaded' backend (same-"
-                            "detector shard groups scored concurrently — "
+                       help="worker-process count for --drain-backend "
+                            "process (default 2; ignored by serial) — "
                             "applies to restored routers too, it only "
                             "changes where forwards run, never their "
-                            "results)")
-    serve.add_argument("--drain-backend", default="auto",
-                       choices=("auto", "serial", "threaded", "process"),
+                            "results")
+    serve.add_argument("--drain-backend", choices=("serial", "process"),
                        help="where drains score their shard groups: on the "
-                            "calling thread (serial), a thread pool "
-                            "(threaded), or a pool of worker processes "
-                            "sharing mmap'd weights (process); 'auto' "
-                            "(default) picks threaded when --workers > 1. "
-                            "All backends score bit-identically")
+                            "calling thread (serial, the default) or a pool "
+                            "of worker processes sharing mmap'd weights "
+                            "(process); unset on a restored router keeps "
+                            "its saved backend. Both score bit-identically")
     serve.add_argument("--tcp", type=int, metavar="PORT",
                        help="serve the 'stream_id,value...' line protocol "
                             "on this TCP port (0 picks an ephemeral port); "
@@ -541,21 +538,13 @@ def _run_serve(args):
               "weights always win; start a fresh --state-dir to serve a "
               "new model)", file=sys.stderr)
     workers = args.workers if args.workers is None else max(int(args.workers), 1)
-    if args.drain_backend == "auto":
-        # Auto keeps the historical contract: --workers > 1 means threaded,
-        # anything else serial — and, on a restored router, "no execution
-        # flags" keeps the backend the router was SAVED with.
-        backend = (None if workers is None
-                   else ("threaded" if workers > 1 else "serial"))
-    else:
-        backend = args.drain_backend
     if restorable:
         # --workers/--drain-backend are execution knobs (where forwards
         # run), so unlike the semantic flags they DO apply to a restored
         # router.
         router = StreamRouter.restore(
             args.state_dir, detector=override,
-            drain_backend=backend,
+            drain_backend=args.drain_backend,
             workers=workers,
         )
         detector = router.detector if router.detector is not None else override
@@ -573,7 +562,7 @@ def _run_serve(args):
             window=args.window,
             queue_limit=args.queue_limit,
             on_full=args.on_full.replace("-", "_"),
-            drain_backend=backend,
+            drain_backend=args.drain_backend,
             workers=workers,
         )
     else:
@@ -667,7 +656,7 @@ def _run_serve(args):
                 print("warning: could not save router state: %s" % exc,
                       file=sys.stderr)
         _print_router_stats(router, router.window, detector)
-        router.close()  # stop the threaded backend's workers, if any
+        router.close()  # stop the process backend's workers, if any
     return 0
 
 

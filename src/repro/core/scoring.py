@@ -235,9 +235,10 @@ class InferencePrograms:
     hot-swapped since its tape was recorded or its bank row copied, and
     the tape re-records or the row is re-copied before anything replays.
 
-    Thread-safe: the cache maps and counters sit behind one lock, and every
-    program and bank serialises its own buffers — concurrent drain workers
-    scoring different groups never contend beyond the cache lookup.
+    Thread-safe: the cache maps and counters sit behind one lock (a
+    router's ``stats()`` reads the counters while it drains), and every
+    program and bank serialises its own buffers, so one cache may be
+    handed to scorers that run on different threads.
     """
 
     _MAX_STACKED = 32

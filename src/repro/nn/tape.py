@@ -455,9 +455,9 @@ class ScoreTape:
     by construction, not by approximation.
 
     Replays are serialised by an internal lock: a tape's buffers are
-    shared mutable state, and two router worker threads may reach the
-    same module's tape (replays are short; contention only arises when
-    two groups genuinely share a module).
+    shared mutable state, and two routers draining on different threads
+    may reach the same module's tape (replays are short; contention only
+    arises when two drains genuinely share a module).
     """
 
     def __init__(self, module):

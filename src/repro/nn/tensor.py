@@ -31,9 +31,10 @@ import numpy as np
 
 __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
 
-# Grad mode is per-thread: the threaded drain backend of repro.serve runs
-# inference under ``no_grad`` from worker threads, which must never toggle
-# graph construction for a fit running concurrently on another thread.
+# Grad mode is per-thread: serving forwards run under ``no_grad`` on
+# whichever thread drains a router, and must never toggle graph
+# construction for a fit running concurrently on another thread (a
+# ``RobustEnsemble(n_jobs>1)`` member, or a refit next to a live server).
 _GRAD_STATE = threading.local()
 
 

@@ -6,12 +6,11 @@ arrivals in a bounded ingestion queue, and drains bursts as micro-batches —
 shards that share a fitted RAE/RDAE are refreshed through one grouped
 forward pass per drain (:func:`repro.core.batched_session_scores`), each
 contributing only the receptive-field-bounded window tail its arrivals can
-change.  ``submit``/``stats`` are thread-safe, and drains come in three
-backends — ``serial``, ``threaded`` (same-detector shard groups scored
-concurrently on a worker *thread* pool; see the :mod:`.router` concurrency
-contract), and ``process`` (a persistent worker-*process* pool fed through
-shared-memory arenas and an mmap'd read-only weight store; see
-:mod:`.workers`) — all bit-identical in what they score.
+change.  ``submit``/``stats`` are thread-safe (see the :mod:`.router`
+concurrency contract), and drains come in two backends — ``serial`` (the
+calling thread) and ``process`` (a persistent worker-process pool fed
+through shared-memory arenas and an mmap'd read-only weight store; see
+:mod:`.workers`) — bit-identical in what they score.
 
 Remote traffic reaches the router through :mod:`.frontend`: the ``repro
 serve`` CLI subcommand speaks a ``stream_id,value...`` line protocol on

@@ -469,9 +469,15 @@ class _HttpHandler(BaseHTTPRequestHandler):
                              % self.path})
             return
         engine = self.server.frontend.engine
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():
+            # A negative length would make rfile.read(-1) block until the
+            # client hangs up.
+            self._json(400, {"error": "Content-Length must be a "
+                                      "non-negative integer"})
+            return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            document = json.loads(self.rfile.read(length) or b"{}")
+            document = json.loads(self.rfile.read(int(length)) or b"{}")
         except (ValueError, TypeError):
             self._json(400, {"error": "body is not valid JSON"})
             return

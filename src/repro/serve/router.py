@@ -35,17 +35,20 @@ of producer threads may feed the router while another thread drains.
 ``stats``/``stream_stats`` take the same lock once and return a consistent
 snapshot (counters never tear mid-drain).  ``drain`` itself is serialised —
 concurrent calls queue up on a drain lock so per-stream chunk ordering is
-preserved — and parallelism *within* a drain comes from the ``threaded``
-backend: ``StreamRouter(drain_backend="threaded", workers=4)`` partitions
-the burst into same-architecture shard groups (the unit that shares
-grouped forwards) and scores the groups concurrently on a worker pool, which
-overlaps independent detectors' NumPy/BLAS work.  ``save``/``restore``
-must not race an active ``drain`` of the same router.
+preserved.  A drain partitions the burst into same-architecture shard
+groups (the unit that shares grouped forwards) and scores them either on
+the calling thread (``serial``, the default) or on a pool of worker
+processes (``StreamRouter(drain_backend="process", workers=2)``; see
+:mod:`.workers`).  Distinct routers may drain concurrently on different
+threads, and may share fitted detectors while they do: the score tapes
+hanging off those modules lock their own buffers.
+``save``/``restore`` must not race an active ``drain`` of the same router.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from collections import deque
@@ -60,7 +63,7 @@ __all__ = ["StreamRouter", "QueueFullError", "DrainError", "score_shard_group"]
 _MANIFEST = "router.json"
 _STATE = "state.npz"
 
-_BACKENDS = ("serial", "threaded", "process")
+_BACKENDS = ("serial", "process")
 
 
 class QueueFullError(RuntimeError):
@@ -83,6 +86,18 @@ class DrainError(RuntimeError):
         self.failures = failures
 
 
+def _check_finite(stream_id, values):
+    # Validate at submission, like the row width: a NaN or inf admitted
+    # into a shard's window would poison every score it serves until the
+    # value slides out.  ``values`` is a flat list: math.isfinite over it
+    # is cheaper than np.isfinite(...).all() on the short rows submit sees.
+    if not all(map(math.isfinite, values)):
+        raise ValueError(
+            "stream %r: arrivals must be finite, got NaN or inf"
+            % (stream_id,)
+        )
+
+
 def reset_scorer_state(scorer, state):
     """Force ``scorer`` to exactly the retained state ``state``.
 
@@ -102,16 +117,16 @@ def reset_scorer_state(scorer, state):
 def score_shard_group(shards, items, batch_size, programs=None):
     """Score one shard group: ``items = [(stream_id, rows)]``.
 
-    The worker unit of every drain backend — the serial path runs it on the
-    calling thread, the threaded pool on worker threads, and the process
-    backend ships it (with each shard's state) to a worker process, which
-    runs this very function.  Ingests each stream's pending points as one
-    micro-batch, then refreshes the group's session-backed shards through
-    grouped *tail* forwards (:func:`repro.core.batched_session_scores` with
-    the chunk sizes) — bounded slices for receptive-field-capable
-    architectures, full windows otherwise.  Touches only the ``shards``
-    mapping it is given, never a queue or counters, so groups score
-    concurrently without locks.
+    The worker unit of both drain backends — the serial path runs it on the
+    calling thread, and the process backend ships it (with each shard's
+    state) to a worker process, which runs this very function.  Ingests
+    each stream's pending points as one micro-batch, then refreshes the
+    group's session-backed shards through grouped *tail* forwards
+    (:func:`repro.core.batched_session_scores` with the chunk sizes) —
+    bounded slices for receptive-field-capable architectures, full
+    windows otherwise.  Touches only the ``shards`` mapping it is given,
+    never a queue or counters, so groups score independently of one
+    another.
 
     Fault isolation covers the whole shard lifecycle: a stream that fails
     to *ingest* (e.g. an unfitted detector) never mutated its shard, and a
@@ -201,19 +216,16 @@ class StreamRouter:
         make room and counts it against its stream's ``dropped`` stat.
     batch_size: maximum shards stacked into one grouped forward per drain.
     drain_backend: ``'serial'`` (default — score the burst on the calling
-        thread), ``'threaded'`` (score same-architecture shard groups
-        concurrently on a worker *thread* pool — overlaps NumPy/BLAS work
-        but stays GIL-bound for the Python glue), or ``'process'`` (score
-        the groups on a pool of persistent worker **processes** — true
-        CPU parallelism; arrivals and shard state travel through
-        shared-memory arenas and fitted RAE/RDAE weights through an
-        mmap'd read-only :class:`repro.core.WeightStore`, so N workers
-        share one physical copy of each detector; see :mod:`.workers`).
-        All three backends produce bit-identical scores — they change
-        where forwards run, never what they compute.  ``None`` picks
-        ``'threaded'`` when ``workers > 1``.
-    workers: worker-pool size (default 4 for ``'threaded'``, 2 for
-        ``'process'``; ignored by ``'serial'``).
+        thread) or ``'process'`` (score same-architecture shard groups on
+        a pool of persistent worker **processes**; arrivals and shard
+        state travel through shared-memory arenas and fitted RAE/RDAE
+        weights through an mmap'd read-only
+        :class:`repro.core.WeightStore`, so N workers share one physical
+        copy of each detector; see :mod:`.workers`).  Both backends
+        produce bit-identical scores — they change where forwards run,
+        never what they compute.
+    workers: worker-process count for ``'process'`` (default 2; ignored
+        by ``'serial'``).
     """
 
     #: Lock discipline, machine-checked by ``repro lint`` (lock-guarded):
@@ -228,7 +240,6 @@ class StreamRouter:
         "_dims": "_lock",
         "_drains": "_lock",
         "_shards": "_lock",
-        "_pool": "_lock",
         "_procs": "_lock",
         "_prog_counters": "_lock",
     }
@@ -256,10 +267,7 @@ class StreamRouter:
         self.on_full = on_full
         self.batch_size = max(int(batch_size), 1)
         if drain_backend is None:
-            drain_backend = (
-                "threaded" if workers is not None and int(workers) > 1
-                else "serial"
-            )
+            drain_backend = "serial"
         if drain_backend not in _BACKENDS:
             raise ValueError(
                 "drain_backend must be one of %s, got %r"
@@ -267,7 +275,7 @@ class StreamRouter:
             )
         self.drain_backend = drain_backend
         if workers is None:
-            workers = {"threaded": 4, "process": 2}.get(drain_backend, 1)
+            workers = 2 if drain_backend == "process" else 1
         self.workers = max(int(workers), 1)
         self._shards = {}
         self._dims = {}  # per-stream row width, fixed by the first arrival
@@ -282,7 +290,6 @@ class StreamRouter:
         # takes _drain_lock first, then _lock for queue/counter mutation.
         self._lock = threading.RLock()
         self._drain_lock = threading.Lock()
-        self._pool = None  # lazily-built worker pool (threaded backend)
         self._procs = None  # lazily-built process pool (process backend)
         # Compiled-inference program cache shared by every shard of this
         # router (internally locked; not in _GUARDED_BY).  _prog_counters
@@ -390,12 +397,16 @@ class StreamRouter:
     def submit(self, stream_id, point):
         """Enqueue one arrival for ``stream_id``; O(1), never scores.
 
+        Raises ``ValueError`` for a NaN/inf value or a row width that
+        differs from the stream's first arrival.
+
         Thread-safe: validation, enqueueing and counter updates happen
         atomically under the router lock, so concurrent producers never
         tear the queue or the per-stream counters (see the module-level
         concurrency contract).
         """
         row = np.asarray(point, dtype=np.float64).reshape(-1)
+        _check_finite(stream_id, row.tolist())
         with self._lock:
             self._ensure_stream_locked(stream_id)
             self._check_dims_locked(stream_id, row.shape[0])
@@ -406,11 +417,13 @@ class StreamRouter:
         """Enqueue every row of a ``(n, dims)`` (or ``(n,)``) chunk.
 
         Thread-safe, and atomic as a chunk: the rows enqueue contiguously
-        even when other producers are submitting concurrently.
+        even when other producers are submitting concurrently, and a chunk
+        holding any NaN/inf is rejected whole (``ValueError``).
         """
         arr = np.asarray(points, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[:, None]
+        _check_finite(stream_id, arr.ravel().tolist())
         with self._lock:
             self._ensure_stream_locked(stream_id)
             if arr.shape[0]:
@@ -421,29 +434,6 @@ class StreamRouter:
 
     # ------------------------------------------------------------------ #
     # scoring
-    def _score_group(self, shards, items):
-        """In-process scoring of one shard group (serial/threaded unit).
-
-        ``shards`` is the drain's snapshot of the participating shards,
-        cut under the router lock — worker threads must never walk
-        ``self._shards`` while producers register new streams.
-        """
-        return score_shard_group(
-            shards, items, self.batch_size, programs=self._programs
-        )
-
-    def _drain_pool(self):
-        """The threaded backend's worker pool, built on first use."""
-        with self._lock:
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-drain",
-                )
-            return self._pool
-
     def _process_pool(self):
         """The process backend's worker-process pool, built on first use."""
         with self._lock:
@@ -456,19 +446,15 @@ class StreamRouter:
     def close(self):
         """Shut down the drain backend's workers (if they ever ran).
 
-        Serial routers need no cleanup; threaded and process routers should
-        be closed (or have their process exit) when serving stops — the
-        process backend additionally removes its weight-store spool
-        directory and shared-memory arenas.  Idempotent.  The pools are
-        detached under the lock but torn down outside it — shutdown blocks
-        on in-flight work, and holding the router lock across that would
-        deadlock a concurrent submit.
+        Serial routers need no cleanup; process routers should be closed
+        (or have their process exit) when serving stops — closing also
+        removes the weight-store spool directory and shared-memory arenas.
+        Idempotent.  The pool is detached under the lock but torn down
+        outside it — shutdown blocks on in-flight work, and holding the
+        router lock across that would deadlock a concurrent submit.
         """
         with self._lock:
-            pool, self._pool = self._pool, None
             procs, self._procs = self._procs, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         if procs is not None:
             procs.close()
 
@@ -512,9 +498,9 @@ class StreamRouter:
 
         Concurrency: drains are serialised against each other (a second
         caller blocks until the first finishes), producers may keep
-        submitting throughout, and with ``drain_backend='threaded'`` the
-        burst's same-architecture shard groups score concurrently on the
-        worker pool.
+        submitting throughout, and with ``drain_backend='process'`` the
+        burst's same-architecture shard groups score on the worker
+        processes.
 
         A shard that fails to ingest (e.g. an unfitted detector) never
         destroys the burst: the other streams are scored normally, the
@@ -538,11 +524,11 @@ class StreamRouter:
                     stream_id, row = self._queue.popleft()
                     chunks.setdefault(stream_id, []).append(row)
                 # Snapshot the participating shards while the lock is
-                # held: scoring runs lock-free (possibly on worker
-                # threads), and must not walk self._shards while a
-                # producer's add_stream mutates it.  Shard objects are
-                # safe to score unlocked — only this drain touches them
-                # (drains are serialised, submit never runs a scorer).
+                # held: scoring runs lock-free, and must not walk
+                # self._shards while a producer's add_stream mutates it.
+                # Shard objects are safe to score unlocked — only this
+                # drain touches them (drains are serialised, submit never
+                # runs a scorer).
                 shards = {stream_id: self._shards[stream_id]
                           for stream_id in chunks}
             if not chunks:
@@ -562,13 +548,9 @@ class StreamRouter:
             group_list = list(groups.values())
             if self.drain_backend == "process":
                 scored = self._drain_process(shards, group_list)
-            elif self.drain_backend == "threaded" and len(group_list) > 1:
-                futures = [self._drain_pool().submit(
-                               self._score_group, shards, group)
-                           for group in group_list]
-                scored = [future.result() for future in futures]
             else:
-                scored = [self._score_group(shards, group)
+                scored = [score_shard_group(shards, group, self.batch_size,
+                                            programs=self._programs)
                           for group in group_list]
             results, failures = {}, {}
             for group_results, group_failures in scored:
@@ -759,13 +741,17 @@ class StreamRouter:
 
         ``drain_backend=``/``workers=`` override the saved execution
         backend (they change *where* forwards run, never what they
-        compute, so overriding them cannot perturb restored scores).
+        compute, so overriding them cannot perturb restored scores).  For
+        the same reason a saved backend this version no longer offers
+        restores as ``'serial'``.
         """
         with open(os.path.join(directory, _MANIFEST)) as handle:
             manifest = json.load(handle)
         if manifest.get("format") != "repro.router":
             raise ValueError("%s is not a router manifest" % directory)
         config = manifest["config"]
+        if drain_backend is None and config.get("drain_backend") in _BACKENDS:
+            drain_backend = config["drain_backend"]
         built, spec_only = {}, set()
 
         def build(index):
@@ -803,8 +789,7 @@ class StreamRouter:
             queue_limit=config["queue_limit"],
             batch_size=config["batch_size"],
             on_full=config["on_full"],
-            drain_backend=(drain_backend if drain_backend is not None
-                           else config.get("drain_backend")),
+            drain_backend=drain_backend,
             workers=(workers if workers is not None
                      else config.get("workers")),
         )
@@ -866,8 +851,8 @@ class StreamRouter:
         """Fold pending compiled-path cache deltas into the persistent
         totals; caller must hold ``self._lock``.
 
-        Two delta sources: the in-process :class:`InferencePrograms` shared
-        by the serial/threaded backends, and — when the process backend has
+        Two delta sources: the in-process :class:`InferencePrograms` used
+        by the serial backend, and — when the process backend has
         ever run — the per-worker caches, whose deltas the pool collected
         from drain payloads.
         """

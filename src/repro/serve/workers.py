@@ -1,10 +1,9 @@
 """Process-parallel drain backend: persistent workers, shared-memory arenas.
 
-The ``threaded`` drain backend overlaps NumPy/BLAS work but stays GIL-bound
-for the Python glue; on a many-core host that caps out well below the
-hardware.  ``drain_backend='process'`` runs each same-detector shard group
-on a pool of persistent worker **processes** instead — true CPU parallelism
-— while keeping the data movement cheap enough to win:
+The default ``serial`` drain backend scores every shard group on the
+calling thread.  ``drain_backend='process'`` runs each same-detector shard
+group on a pool of persistent worker **processes** instead — CPU
+parallelism past the GIL — while keeping the data movement cheap:
 
 * **Weights travel zero times.**  Fitted RAE/RDAE detectors are published
   once into an mmap'd read-only :class:`repro.core.WeightStore`; every

@@ -110,7 +110,7 @@ def test_registry_method_compiled_drain_bit_equal(name):
         assert cache["misses"] + cache["hits"] > 0
 
 
-@pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_compiled_drain_bit_equal_across_backends(backend):
     detectors = fitted_fleet("RAE")
     eager = run_scenario(detectors, compiled=False, backend="serial")

@@ -76,7 +76,7 @@ def total_counts(router):
             for sid, entry in per_stream.items()}
 
 
-@pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_scoring_fault_is_isolated_requeued_and_recovered(backend):
     healthy_rows = clean_rows(0, 7)
     doomed_rows = clean_rows(1, 6)
@@ -137,7 +137,7 @@ def test_scoring_fault_is_isolated_requeued_and_recovered(backend):
         router.close()
 
 
-@pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_fault_during_warmup_chunk_rolls_back_cleanly(backend):
     """A chunk that fails mid-protocol must not leave partial state: the
     retry (after recovery is possible) scores as if the fault never ran."""

@@ -111,6 +111,19 @@ def test_engine_counts_malformed_lines_instead_of_raising():
     assert [row[:2] for row in delivered["o"]] == [("s", 0)]
 
 
+def test_engine_counts_non_finite_lines_and_keeps_scores_finite():
+    engine = make_engine()
+    engine.register("o", lambda rows: None)
+    assert engine.submit_line("o", "a,1.0") is None
+    for line in ("a,nan", "a,inf", "a,-inf", "a,1.0,nan"):
+        assert "finite" in engine.submit_line("o", line)
+    assert engine.stats()["frontend"]["errors"] == {"a": 4}
+    for value in (2.0, 3.0):
+        assert engine.submit_line("o", "a,%s" % value) is None
+    delivered = engine.drain()
+    assert [row[2] for row in delivered["o"]] == [1.0, 2.0, 3.0]
+
+
 def test_engine_keeps_segments_of_failed_streams_for_the_retry():
     engine = make_engine()
     got = []
@@ -337,6 +350,35 @@ def test_http_invalid_json_and_unknown_paths(http_frontend):
         http_post(http_frontend.address, "/nope", b"{}")
     assert excinfo.value.code == 404
     # The server survived every bad request.
+    status, __ = http_get(http_frontend.address, "/stats")
+    assert status == 200
+
+
+def test_http_non_finite_values_are_per_arrival_errors(http_frontend):
+    # json.loads accepts the NaN/Infinity literals; the router must not.
+    body = (b'{"arrivals": [{"stream": "a", "values": [NaN]}, '
+            b'{"stream": "a", "values": [Infinity]}, '
+            b'{"stream": "a", "values": [1.0, 2.0]}]}')
+    status, reply = http_post(http_frontend.address, "/submit", body)
+    assert status == 200
+    assert reply["accepted"] == 2
+    assert [error["arrival"] for error in reply["errors"]] == [0, 1]
+    assert all("finite" in error["error"] for error in reply["errors"])
+    assert [row["score"] for row in reply["scores"]] == [1.0, 2.0]
+    assert http_frontend.engine.stats()["frontend"]["error_total"] == 2
+
+
+@pytest.mark.parametrize("length", ["-1", "ten"])
+def test_http_bad_content_length_is_answered_400(http_frontend, length):
+    """A negative length must not make the handler read until the client
+    hangs up: the reply comes back while the connection is still open."""
+    host, port = http_frontend.address
+    with socket.create_connection((host, port), timeout=5) as client:
+        client.sendall(("POST /submit HTTP/1.1\r\nHost: %s\r\n"
+                        "Content-Length: %s\r\n\r\n" % (host, length))
+                       .encode())
+        reply = client.makefile("rb").readline()
+    assert reply.split()[1] == b"400"
     status, __ = http_get(http_frontend.address, "/stats")
     assert status == 200
 

@@ -73,31 +73,6 @@ def test_process_backend_bit_identical_on_registry_methods(name):
     assert process_stats == serial_stats
 
 
-def test_threaded_backend_bit_identical_with_two_workers():
-    """The threaded sibling of the same guarantee, equally ungated."""
-    detectors = {
-        "a": RAE(max_iterations=3, seed=1).fit(make_series(1)),
-        "b": RAE(max_iterations=3, seed=2).fit(make_series(2)),
-    }
-    streams = {"a": make_series(20), "b": make_series(21)}
-
-    def run(**kwargs):
-        router = StreamRouter(window=48, min_points=4, **kwargs)
-        for stream_id, det in detectors.items():
-            router.add_stream(stream_id, det)
-        try:
-            scores = feed_and_drain(router, streams)
-            return scores, router.stats()
-        finally:
-            router.close()
-
-    serial, serial_stats = run()
-    threaded, threaded_stats = run(drain_backend="threaded", workers=2)
-    for stream_id in serial:
-        assert np.array_equal(serial[stream_id], threaded[stream_id])
-    assert threaded_stats == serial_stats
-
-
 def test_process_backend_groups_across_distinct_detectors():
     """Groups (one per distinct detector) round-robin across workers;
     same-detector shards still share state correctly."""

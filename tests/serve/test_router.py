@@ -175,6 +175,34 @@ def test_submit_rejects_mismatched_dims(fitted_rae):
     assert results["a"].shape == (1,) and results["b"].shape == (1,)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_submit_rejects_non_finite_values(fitted_rae, bad):
+    """NaN/inf is rejected at submission, whole-chunk for submit_many, and
+    never reaches a window: the stream's later scores stay finite and
+    equal to a router that never saw the bad arrivals."""
+    series = make_series(3, length=60)
+    router = StreamRouter(fitted_rae, window=32)
+    clean = StreamRouter(fitted_rae, window=32)
+    for target in (router, clean):
+        target.submit_many("a", series[:20])
+        target.drain()
+    with pytest.raises(ValueError, match="finite"):
+        router.submit("a", bad)
+    with pytest.raises(ValueError, match="finite"):
+        router.submit_many("a", [[0.1], [bad], [0.2]])
+    with pytest.raises(ValueError, match="finite"):
+        router.submit("new", [bad])
+    assert "new" not in router  # a rejected arrival creates no shard
+    stats = router.stats()
+    assert stats["queue_depth"] == 0
+    assert stats["per_stream"]["a"]["submitted"] == 20
+    router.submit_many("a", series[20:])
+    clean.submit_many("a", series[20:])
+    scores = router.drain()["a"]
+    assert np.isfinite(scores).all()
+    assert np.array_equal(scores, clean.drain()["a"])
+
+
 def test_submit_dims_follow_seeded_shard(fitted_rae):
     router = StreamRouter(fitted_rae, window=32)
     router.add_stream("a").seed(make_series(5, length=40))
@@ -262,64 +290,13 @@ def test_stats_surface(fitted_rae, live_streams):
 def test_drain_backend_validation(fitted_rae):
     with pytest.raises(ValueError):
         StreamRouter(fitted_rae, drain_backend="bogus")
+    with pytest.raises(ValueError, match="drain_backend"):
+        StreamRouter(fitted_rae, drain_backend="threaded")
     assert StreamRouter(fitted_rae).drain_backend == "serial"
-    # workers > 1 implies the threaded backend when none is named.
+    # workers alone never selects a parallel backend; serial ignores it.
     router = StreamRouter(fitted_rae, workers=4)
-    assert router.drain_backend == "threaded" and router.workers == 4
-    assert StreamRouter(fitted_rae, workers=1).drain_backend == "serial"
-    explicit = StreamRouter(fitted_rae, drain_backend="threaded")
-    assert explicit.workers == 4  # sensible pool default
-    explicit.close()
-
-
-def test_threaded_drain_matches_serial_bitwise():
-    """The backend changes where forwards run, never what they compute —
-    including across independent per-stream detectors (separate groups)
-    and the shared-detector grouped-forward path."""
-    detectors = [RAE(max_iterations=2, kernels=8, num_layers=2,
-                     seed=i).fit(make_series(i)) for i in range(3)]
-    shared = detectors[0]
-
-    def build(**kwargs):
-        router = StreamRouter(shared, window=40, **kwargs)
-        for i, det in enumerate(detectors):
-            router.add_stream(f"own{i}", detector=det)
-        for i in range(3):
-            router.add_stream(f"shared{i}")
-        return router
-
-    serial = build()
-    threaded = build(drain_backend="threaded", workers=3)
-    try:
-        for step in range(8):
-            for router in (serial, threaded):
-                for i in range(3):
-                    router.submit(f"own{i}", make_series(50 + i)[step])
-                    router.submit(f"shared{i}", make_series(60 + i)[step])
-            expected, got = serial.drain(), threaded.drain()
-            assert set(expected) == set(got)
-            for sid in expected:
-                assert np.array_equal(expected[sid], got[sid])
-    finally:
-        threaded.close()
-    assert serial.stats()["scored"] == threaded.stats()["scored"]
-
-
-def test_threaded_drain_isolates_faulty_shards(fitted_rae):
-    """DrainError semantics survive the threaded backend: healthy groups
-    score, the faulty stream's arrivals re-queue."""
-    router = StreamRouter(fitted_rae, window=32,
-                          drain_backend="threaded", workers=2)
-    router.add_stream("bad", detector=RAE())  # unfitted -> ingest fails
-    try:
-        router.submit("ok", [0.5]).submit("bad", [0.5]).submit("ok", [0.7])
-        with pytest.raises(DrainError) as excinfo:
-            router.drain()
-        assert set(excinfo.value.results) == {"ok"}
-        assert set(excinfo.value.failures) == {"bad"}
-        assert router.stats()["queue_depth"] == 1  # re-queued arrival
-    finally:
-        router.close()
+    assert router.drain_backend == "serial" and router.workers == 4
+    assert StreamRouter(fitted_rae, drain_backend="process").workers == 2
 
 
 def test_concurrent_submits_never_lose_arrivals(fitted_rae):

@@ -196,14 +196,13 @@ def test_restore_carries_drain_backend_and_cache(fitted_rae, history,
     survive the round trip: a restored shard resumes bounded pushes
     immediately, scoring subsequent arrivals bit-identically."""
     router = StreamRouter(fitted_rae, window=48,
-                          drain_backend="threaded", workers=3)
+                          drain_backend="process", workers=3)
     _feed(router, {"a": history[:60], "b": history[60:120]})
     router.save(tmp_path / "state")
-    router.close()
 
     restored = StreamRouter.restore(tmp_path / "state")
     try:
-        assert restored.drain_backend == "threaded" and restored.workers == 3
+        assert restored.drain_backend == "process" and restored.workers == 3
         for sid in ("a", "b"):
             live_session = router.stream(sid)._session
             back_session = restored.stream(sid)._session
@@ -219,4 +218,33 @@ def test_restore_carries_drain_backend_and_cache(fitted_rae, history,
                                       drain_backend="serial", workers=1)
         assert serial.drain_backend == "serial"
     finally:
+        router.close()
         restored.close()
+
+
+def test_restore_reads_a_removed_backend_as_serial(fitted_rae, history,
+                                                   tmp_path):
+    """A router saved under a drain backend this version no longer offers
+    (``threaded``) resumes on the serial path: backends change where
+    forwards run, never what they compute, so its scores are bit-equal
+    to the never-restarted router's."""
+    import json
+
+    live = StreamRouter(fitted_rae, window=48)
+    _feed(live, {"a": history[:60], "b": history[60:120]})
+    live.submit_many("a", history[120:124])  # left queued
+    live.save(tmp_path / "state")
+    manifest_path = tmp_path / "state" / "router.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"].update(drain_backend="threaded", workers=4)
+    manifest_path.write_text(json.dumps(manifest))
+
+    restored = StreamRouter.restore(tmp_path / "state")
+    assert restored.drain_backend == "serial"
+    assert restored.stats() == live.stats()
+    chunks = {"a": history[124:130], "b": history[130:136]}
+    expected, got = _feed(live, chunks), _feed(restored, chunks)
+    assert list(got) == list(expected)
+    for sid in expected:
+        assert np.array_equal(got[sid], expected[sid])
+    assert restored.stats()["per_stream"] == live.stats()["per_stream"]

@@ -590,10 +590,14 @@ def test_serve_process_backend_matches_serial_output(serve_setup, capsys):
     assert len(serial_out.splitlines()) == 3 * per_stream
 
 
-def test_serve_drain_backend_flag_is_validated():
-    with pytest.raises(SystemExit):
-        main(["serve", "--input", "-", "--method", "EMA",
-              "--drain-backend", "turbo"])
+def test_serve_drain_backend_flag_is_validated(capsys):
+    # Removed backend names fail like any unknown one.
+    for backend in ("turbo", "threaded", "auto"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--input", "-", "--method", "EMA",
+                  "--drain-backend", backend])
+        assert excinfo.value.code == 2
+        assert "invalid choice: '%s'" % backend in capsys.readouterr().err
 
 
 def _spawn_serve(args, timeout=30.0):
