@@ -6,25 +6,19 @@ grouped forward pass per drain, while the naive deployment (a dedicated
 :class:`StreamScorer` per stream, pushed sequentially) pays one forward per
 stream per arrival.  With 8 RAE shards the batched drain must be at least
 2x faster per round of arrivals — and numerically identical to the
-sequential path.  A second bench covers the orthogonal axis: shards with
-*independent* detectors cannot share a grouped forward, so the process
-drain backend scores their shard groups on worker processes and must beat
-the serial backend by >= 1.8x with two workers (bit-identically).  A
-record-only capacity sweep times both backends over shards x window x
-model width x chunk, without a ratio gate, as the evidence for keeping or
-removing the process backend.
+sequential path.  A second bench gates the compiled inference path
+against eager forwards on shards that each hold their own fitted detector
+of one spec.
 
 ``REPRO_BENCH_TINY=1`` shrinks sizes for CI smoke runs and skips the
 wall-clock ratio assertions (never the equality assertions).  Raw numbers
-land in ``bench-results/serve_throughput.json``; a host where a ratio is
-not meaningful (single core, tiny mode) records ``skipped_reason`` and no
-``speedup`` — a sub-1x "speedup" measured where nothing could overlap must
-not enter the BENCH trajectory looking like a regression.
+land in ``bench-results/serve_throughput.json``; tiny mode records
+``skipped_reason`` and no ``speedup`` — a ratio measured at sizes too
+small to mean anything must not enter the BENCH trajectory looking like a
+regression.
 """
 
 import functools
-import itertools
-import os
 import time
 
 import numpy as np
@@ -43,14 +37,6 @@ pytestmark = pytest.mark.slow
 SHARDS = 8
 WINDOW = 48 if TINY else 128
 ROUNDS = 10 if TINY else 40
-
-# Capacity sweep grid (16 cells): shard count x window x base model width
-# x arrivals per stream per drain.
-SWEEP_SHARDS = (2, 4) if TINY else (8, 32)
-SWEEP_WINDOWS = (48, 96) if TINY else (128, 1024)
-SWEEP_WIDTHS = (4, 8) if TINY else (12, 48)
-SWEEP_CHUNKS = (1, 4) if TINY else (1, 32)
-SWEEP_ROUNDS = 3 if TINY else 12
 
 _record_result = functools.partial(record_result, "serve_throughput.json")
 
@@ -119,55 +105,20 @@ def test_batched_drain_beats_sequential_push():
         )
 
 
-def _independent_shard_fixture():
-    """8 shards, each with its own *different-spec* detector, plus arrivals.
-
-    Different architectures are the worst case for grouped forwards
-    (nothing batches or stacks across shards — distinct same-spec
-    detectors would now share one fingerprint group and a stacked compiled
-    forward, see ``compiled_drain``) and the best case for a parallel
-    backend (every shard group is parallel work).
-    """
-    detectors = [
-        RAE(max_iterations=2 if TINY else 4, kernels=12 + i, num_layers=3,
-            seed=i).fit(make_series(i, 400))
-        for i in range(SHARDS)
-    ]
-    histories = [make_series(10 + i, WINDOW) for i in range(SHARDS)]
-    live = [make_series(50 + i, ROUNDS) for i in range(SHARDS)]
-    return detectors, histories, live
-
-
-def _run_router(router, detectors, histories, live, chunk=1,
-                rounds=ROUNDS):
-    """Feed the fixture through a router, ``chunk`` arrivals per stream per
-    drain; returns (scores shaped ``(rounds, shards, chunk)``, drain
-    times)."""
+def _run_router(router, detectors, histories, live):
+    """Feed the fixture through a router, one arrival per stream per
+    drain; returns (scores shaped ``(ROUNDS, shards, 1)``, drain times)."""
     for shard, detector in enumerate(detectors):
-        router.add_stream(shard, detector=detector).seed(
-            histories[shard][-router.window:]
-        )
+        router.add_stream(shard, detector=detector).seed(histories[shard])
     scores, seconds = [], []
-    for round_ in range(rounds):
+    for round_ in range(ROUNDS):
         for shard in range(len(detectors)):
-            router.submit_many(
-                shard, live[shard][round_ * chunk:(round_ + 1) * chunk]
-            )
+            router.submit_many(shard, live[shard][round_:round_ + 1])
         started = time.perf_counter()
         results = router.drain()
         seconds.append(time.perf_counter() - started)
         scores.append([results[shard] for shard in range(len(detectors))])
-    router.close()
     return np.array(scores), seconds
-
-
-def _ratio_skip_reason(cores):
-    if TINY:
-        return "tiny mode: sizes too small for a meaningful ratio"
-    if cores < 2:
-        return ("single-core host: backend parallelism has nothing to "
-                "overlap, ratio not meaningful")
-    return None
 
 
 def test_compiled_drain_beats_eager_on_same_spec_shards():
@@ -230,96 +181,3 @@ def test_compiled_drain_beats_eager_on_same_spec_shards():
     assert speedup >= 2.0, (
         "compiled drain only %.1fx faster than the eager path" % speedup
     )
-
-
-def test_process_drain_beats_serial_on_independent_shards():
-    """The process backend's claim: >= 1.8x with 2 workers on >= 2 cores.
-
-    The equality half runs everywhere — a single-core host exercises the
-    full protocol (state shipping, mmap'd weight store, result splicing)
-    with two live worker processes; only the wall-clock ratio needs real
-    cores to overlap on.
-    """
-    detectors, histories, live = _independent_shard_fixture()
-
-    serial_scores, serial_seconds = _run_router(
-        StreamRouter(window=WINDOW), detectors, histories, live
-    )
-    process_scores, process_seconds = _run_router(
-        StreamRouter(window=WINDOW, drain_backend="process", workers=2),
-        detectors, histories, live,
-    )
-
-    # The backend changes where forwards run, never what they compute.
-    assert np.array_equal(process_scores, serial_scores)
-
-    serial = float(np.median(serial_seconds))
-    process = float(np.median(process_seconds))
-    speedup = serial / max(process, 1e-12)
-    cores = os.cpu_count() or 1
-    print("\nper-round drain over %d independent-detector shards "
-          "(window=%d, %d cores): serial %.2f ms, process(2) %.2f ms (%.1fx)"
-          % (SHARDS, WINDOW, cores, 1e3 * serial, 1e3 * process, speedup))
-    reason = _ratio_skip_reason(cores)
-    _record_result("process_drain", {
-        "shards": SHARDS, "window": WINDOW, "workers": 2,
-        "serial_ms": 1e3 * serial, "process_ms": 1e3 * process,
-        "speedup": speedup,
-    }, skipped_reason=reason)
-    if reason is not None:
-        pytest.skip(reason + " (equality asserted above)")
-    assert speedup >= 1.8, (
-        "process drain only %.1fx faster than serial with 2 workers"
-        % speedup
-    )
-
-
-def test_drain_backend_capacity_sweep():
-    """Record-only: serial vs process(2) median per-drain time per cell.
-
-    Every shard gets its own architecture (``kernels = width + i``), so
-    each shard is its own drain group — the regime in which a parallel
-    backend has work to spread.  No ratio is asserted; the cells land in
-    ``serve_throughput.json`` under ``drain_backend_capacity_sweep``.
-    Scores must be bit-equal across backends in every cell.
-    """
-    fleet_size = max(SWEEP_SHARDS)
-    histories = [make_series(10 + i, max(SWEEP_WINDOWS))
-                 for i in range(fleet_size)]
-    live = [make_series(50 + i, SWEEP_ROUNDS * max(SWEEP_CHUNKS))
-            for i in range(fleet_size)]
-    cells = []
-    print("\nshards window width chunk  serial_ms process_ms")
-    for width in SWEEP_WIDTHS:
-        detectors = [
-            RAE(max_iterations=2 if TINY else 4, kernels=width + i,
-                num_layers=3, seed=i).fit(make_series(i, 400))
-            for i in range(fleet_size)
-        ]
-        for shards, window, chunk in itertools.product(
-                SWEEP_SHARDS, SWEEP_WINDOWS, SWEEP_CHUNKS):
-            fleet = (detectors[:shards], histories[:shards], live[:shards])
-            serial_scores, serial_seconds = _run_router(
-                StreamRouter(window=window), *fleet, chunk=chunk,
-                rounds=SWEEP_ROUNDS,
-            )
-            process_scores, process_seconds = _run_router(
-                StreamRouter(window=window, drain_backend="process",
-                             workers=2),
-                *fleet, chunk=chunk, rounds=SWEEP_ROUNDS,
-            )
-            assert np.array_equal(process_scores, serial_scores), (
-                shards, window, width, chunk)
-            serial = float(np.median(serial_seconds))
-            process = float(np.median(process_seconds))
-            cells.append({
-                "shards": shards, "window": window, "width": width,
-                "chunk": chunk, "serial_ms": 1e3 * serial,
-                "process_ms": 1e3 * process,
-            })
-            print("%6d %6d %5d %5d %10.2f %10.2f"
-                  % (shards, window, width, chunk, 1e3 * serial,
-                     1e3 * process))
-    _record_result("drain_backend_capacity_sweep", {
-        "workers": 2, "rounds": SWEEP_ROUNDS, "cells": cells,
-    })

@@ -1,13 +1,13 @@
 """Resource rules: files, mmaps, sockets and pools must close on all paths.
 
-The process drain backend leans on OS resources — shared-memory arena
-files, mmap'd weight stores, worker pipes — and the frontends on sockets
-and thread pools.  A resource bound to a local variable without a ``with``
-or a ``finally: ...close()`` leaks on the first exception between
-creation and cleanup; on a long-lived server that is an fd leak with a
-countdown.  The rule is deliberately structural (no data-flow solver):
-a resource-constructor result bound to a local name must visibly reach
-one of the sanctioned custody patterns, and anything else is a finding.
+The serving layer leans on OS resources — files for saved state, and
+sockets and thread pools in the frontends.  A resource bound to a local
+variable without a ``with`` or a ``finally: ...close()`` leaks on the
+first exception between creation and cleanup; on a long-lived server
+that is an fd leak with a countdown.  The rule is deliberately
+structural (no data-flow solver): a resource-constructor result bound to
+a local name must visibly reach one of the sanctioned custody patterns,
+and anything else is a finding.
 """
 
 from __future__ import annotations

@@ -216,7 +216,7 @@ def drain_group_key(detector):
 # --------------------------------------------------------------------- #
 
 class InferencePrograms:
-    """Per-router (or per-worker) cache of compiled score forwards.
+    """Per-router cache of compiled score forwards.
 
     One instance is shared by every shard of a router — solo slice
     forwards replay grad-free :func:`repro.nn.tape.score_tape` recordings,
@@ -277,15 +277,6 @@ class InferencePrograms:
         with self._lock:
             return {"hits": self._hits, "misses": self._misses,
                     "invalidations": self._invalidations}
-
-    def take_counters(self):
-        """Return the counters and reset them to zero (delta accounting:
-        the router absorbs per-drain deltas into its persistent totals)."""
-        with self._lock:
-            out = {"hits": self._hits, "misses": self._misses,
-                   "invalidations": self._invalidations}
-            self._hits = self._misses = self._invalidations = 0
-            return out
 
     # -- program lookup ------------------------------------------------- #
     def _stacked_program(self, fingerprint, modules, shape):

@@ -7,10 +7,7 @@ shards that share a fitted RAE/RDAE are refreshed through one grouped
 forward pass per drain (:func:`repro.core.batched_session_scores`), each
 contributing only the receptive-field-bounded window tail its arrivals can
 change.  ``submit``/``stats`` are thread-safe (see the :mod:`.router`
-concurrency contract), and drains come in two backends — ``serial`` (the
-calling thread) and ``process`` (a persistent worker-process pool fed
-through shared-memory arenas and an mmap'd read-only weight store; see
-:mod:`.workers`) — bit-identical in what they score.
+concurrency contract), and a drain scores its burst on the calling thread.
 
 Remote traffic reaches the router through :mod:`.frontend`: the ``repro
 serve`` CLI subcommand speaks a ``stream_id,value...`` line protocol on
@@ -26,15 +23,12 @@ from .router import (
     StreamRouter,
     score_shard_group,
 )
-from .workers import ProcessDrainPool, WorkerCrashError
 
 __all__ = [
     "StreamRouter",
     "QueueFullError",
     "DrainError",
     "score_shard_group",
-    "ProcessDrainPool",
-    "WorkerCrashError",
     "FrontendEngine",
     "TcpFrontend",
     "HttpFrontend",

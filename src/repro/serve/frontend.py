@@ -481,7 +481,11 @@ class _HttpHandler(BaseHTTPRequestHandler):
         except (ValueError, TypeError):
             self._json(400, {"error": "body is not valid JSON"})
             return
-        arrivals = document.get("arrivals")
+        except RecursionError:  # the decoder recurses once per nesting level
+            self._json(400, {"error": "body nests too deeply"})
+            return
+        arrivals = (document.get("arrivals")
+                    if isinstance(document, dict) else None)
         if not isinstance(arrivals, list):
             self._json(400, {"error": "body must be {\"arrivals\": "
                                       "[{\"stream\": id, \"values\": ...}]}"})
@@ -497,9 +501,11 @@ class _HttpHandler(BaseHTTPRequestHandler):
                              if isinstance(arrival, dict) else None)
                 values = (arrival.get("values")
                           if isinstance(arrival, dict) else None)
-                if not isinstance(stream_id, str) or values is None:
-                    engine.count_error(str(stream_id) if stream_id
-                                       else "<invalid>")
+                # A blank id is refused here as on the line protocol.
+                if (not isinstance(stream_id, str) or not stream_id.strip()
+                        or values is None):
+                    engine.count_error(str(stream_id or "").strip()
+                                       or "<invalid>")
                     errors.append({"arrival": i, "error":
                                    "need {\"stream\": str, \"values\": ...}"})
                     continue

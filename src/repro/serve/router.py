@@ -36,10 +36,8 @@ of producer threads may feed the router while another thread drains.
 snapshot (counters never tear mid-drain).  ``drain`` itself is serialised —
 concurrent calls queue up on a drain lock so per-stream chunk ordering is
 preserved.  A drain partitions the burst into same-architecture shard
-groups (the unit that shares grouped forwards) and scores them either on
-the calling thread (``serial``, the default) or on a pool of worker
-processes (``StreamRouter(drain_backend="process", workers=2)``; see
-:mod:`.workers`).  Distinct routers may drain concurrently on different
+groups (the unit that shares grouped forwards) and scores them on the
+calling thread.  Distinct routers may drain concurrently on different
 threads, and may share fitted detectors while they do: the score tapes
 hanging off those modules lock their own buffers.
 ``save``/``restore`` must not race an active ``drain`` of the same router.
@@ -62,8 +60,6 @@ __all__ = ["StreamRouter", "QueueFullError", "DrainError", "score_shard_group"]
 
 _MANIFEST = "router.json"
 _STATE = "state.npz"
-
-_BACKENDS = ("serial", "process")
 
 
 class QueueFullError(RuntimeError):
@@ -103,9 +99,9 @@ def reset_scorer_state(scorer, state):
 
     Unlike :meth:`repro.stream.StreamScorer.load_state_dict` (which treats
     an ``empty`` state as "nothing to restore"), this also *clears* live
-    state when the target is empty — the semantics both the fault-isolation
-    rollback and the process backend's workers need: after it, the scorer
-    is indistinguishable from one that only ever saw ``state``.
+    state when the target is empty — the semantics the fault-isolation
+    rollback needs: after it, the scorer is indistinguishable from one
+    that only ever saw ``state``.
     """
     if state["kind"] == "empty":
         scorer._session = None
@@ -117,16 +113,14 @@ def reset_scorer_state(scorer, state):
 def score_shard_group(shards, items, batch_size, programs=None):
     """Score one shard group: ``items = [(stream_id, rows)]``.
 
-    The worker unit of both drain backends — the serial path runs it on the
-    calling thread, and the process backend ships it (with each shard's
-    state) to a worker process, which runs this very function.  Ingests
-    each stream's pending points as one micro-batch, then refreshes the
-    group's session-backed shards through grouped *tail* forwards
-    (:func:`repro.core.batched_session_scores` with the chunk sizes) —
-    bounded slices for receptive-field-capable architectures, full
-    windows otherwise.  Touches only the ``shards`` mapping it is given,
-    never a queue or counters, so groups score independently of one
-    another.
+    The unit of work of a drain, run once per group on the calling
+    thread.  Ingests each stream's pending points as one micro-batch,
+    then refreshes the group's session-backed shards through grouped
+    *tail* forwards (:func:`repro.core.batched_session_scores` with the
+    chunk sizes) — bounded slices for receptive-field-capable
+    architectures, full windows otherwise.  Touches only the ``shards``
+    mapping it is given, never a queue or counters, so groups score
+    independently of one another.
 
     Fault isolation covers the whole shard lifecycle: a stream that fails
     to *ingest* (e.g. an unfitted detector) never mutated its shard, and a
@@ -215,17 +209,6 @@ class StreamRouter:
         must drain; ``'drop_oldest'`` evicts the oldest queued arrival to
         make room and counts it against its stream's ``dropped`` stat.
     batch_size: maximum shards stacked into one grouped forward per drain.
-    drain_backend: ``'serial'`` (default — score the burst on the calling
-        thread) or ``'process'`` (score same-architecture shard groups on
-        a pool of persistent worker **processes**; arrivals and shard
-        state travel through shared-memory arenas and fitted RAE/RDAE
-        weights through an mmap'd read-only
-        :class:`repro.core.WeightStore`, so N workers share one physical
-        copy of each detector; see :mod:`.workers`).  Both backends
-        produce bit-identical scores — they change where forwards run,
-        never what they compute.
-    workers: worker-process count for ``'process'`` (default 2; ignored
-        by ``'serial'``).
     """
 
     #: Lock discipline, machine-checked by ``repro lint`` (lock-guarded):
@@ -240,13 +223,12 @@ class StreamRouter:
         "_dims": "_lock",
         "_drains": "_lock",
         "_shards": "_lock",
-        "_procs": "_lock",
-        "_prog_counters": "_lock",
+        "_prog_baseline": "_lock",
     }
 
     def __init__(self, detector=None, *, window=256, min_points=2,
                  mode="auto", queue_limit=1024, batch_size=32,
-                 on_full="error", drain_backend=None, workers=None):
+                 on_full="error"):
         if detector is not None:
             from ..api import as_detector
 
@@ -266,17 +248,6 @@ class StreamRouter:
             )
         self.on_full = on_full
         self.batch_size = max(int(batch_size), 1)
-        if drain_backend is None:
-            drain_backend = "serial"
-        if drain_backend not in _BACKENDS:
-            raise ValueError(
-                "drain_backend must be one of %s, got %r"
-                % ("/".join(_BACKENDS), drain_backend)
-            )
-        self.drain_backend = drain_backend
-        if workers is None:
-            workers = 2 if drain_backend == "process" else 1
-        self.workers = max(int(workers), 1)
         self._shards = {}
         self._dims = {}  # per-stream row width, fixed by the first arrival
         self._queue = deque()
@@ -290,14 +261,12 @@ class StreamRouter:
         # takes _drain_lock first, then _lock for queue/counter mutation.
         self._lock = threading.RLock()
         self._drain_lock = threading.Lock()
-        self._procs = None  # lazily-built process pool (process backend)
         # Compiled-inference program cache shared by every shard of this
-        # router (internally locked; not in _GUARDED_BY).  _prog_counters
-        # holds the persistent totals stats()/save absorb drain deltas
-        # into — on the process backend the workers hold their own caches
-        # and ship deltas back with each payload.
+        # router (internally locked; not in _GUARDED_BY).  The reported
+        # totals are _prog_baseline (counters restored from a save) plus
+        # the cache's own counters.
         self._programs = InferencePrograms()
-        self._prog_counters = {"hits": 0, "misses": 0, "invalidations": 0}
+        self._prog_baseline = {"hits": 0, "misses": 0, "invalidations": 0}
 
     # ------------------------------------------------------------------ #
     # stream management
@@ -434,59 +403,6 @@ class StreamRouter:
 
     # ------------------------------------------------------------------ #
     # scoring
-    def _process_pool(self):
-        """The process backend's worker-process pool, built on first use."""
-        with self._lock:
-            if self._procs is None:
-                from .workers import ProcessDrainPool
-
-                self._procs = ProcessDrainPool(self.workers)
-            return self._procs
-
-    def close(self):
-        """Shut down the drain backend's workers (if they ever ran).
-
-        Serial routers need no cleanup; process routers should be closed
-        (or have their process exit) when serving stops — closing also
-        removes the weight-store spool directory and shared-memory arenas.
-        Idempotent.  The pool is detached under the lock but torn down
-        outside it — shutdown blocks on in-flight work, and holding the
-        router lock across that would deadlock a concurrent submit.
-        """
-        with self._lock:
-            procs, self._procs = self._procs, None
-        if procs is not None:
-            procs.close()
-
-    def _drain_process(self, shards, group_list):
-        """Score the burst's shard groups on the worker-process pool.
-
-        Each group travels to one worker as (stream config, shard state,
-        pending rows); the worker rebuilds the shards — detector weights
-        from the shared mmap'd store, state from the shipped arrays — runs
-        :func:`score_shard_group`, and returns scores plus the post-ingest
-        shard states, which are installed back into the parent's shards.
-        The parent therefore stays authoritative: shard state advances
-        only on success, so a crashed worker (its group's streams come
-        back as :class:`repro.serve.workers.WorkerCrashError` failures,
-        and the pool has already respawned a replacement) leaves the
-        parent exactly as before the drain — re-queued arrivals replay
-        with zero loss or duplication.
-        """
-        packed = self._process_pool().score_groups(
-            shards, group_list, self.batch_size
-        )
-        scored = []
-        for group, (results, failures, states) in zip(group_list, packed):
-            rows_by_sid = dict(group)
-            for stream_id, state in states.items():
-                shards[stream_id].load_state_dict(state)
-            scored.append((results, {
-                stream_id: (exc, rows_by_sid[stream_id])
-                for stream_id, exc in failures.items()
-            }))
-        return scored
-
     def drain(self, max_points=None, on_drained=None):
         """Score queued arrivals; returns ``{stream_id: scores}``.
 
@@ -497,10 +413,8 @@ class StreamRouter:
         first-arrival order of this drain.
 
         Concurrency: drains are serialised against each other (a second
-        caller blocks until the first finishes), producers may keep
-        submitting throughout, and with ``drain_backend='process'`` the
-        burst's same-architecture shard groups score on the worker
-        processes.
+        caller blocks until the first finishes), and producers may keep
+        submitting throughout.
 
         A shard that fails to ingest (e.g. an unfitted detector) never
         destroys the burst: the other streams are scored normally, the
@@ -536,24 +450,20 @@ class StreamRouter:
                     on_drained({}, {})
                 return {}
             # Partition the burst into same-architecture shard groups —
-            # the unit that shares grouped forwards, hence the unit of
-            # backend parallelism.  Keyed by architecture fingerprint, so
-            # distinct same-spec detectors (one per stream) drain through
-            # one stacked forward; detectors the fingerprint declines
-            # (unfitted, baselines) fall back to identity keys.
+            # the unit that shares grouped forwards.  Keyed by
+            # architecture fingerprint, so distinct same-spec detectors
+            # (one per stream) drain through one stacked forward;
+            # detectors the fingerprint declines (unfitted, baselines)
+            # fall back to identity keys.
             groups = {}
             for stream_id, rows in chunks.items():
                 key = drain_group_key(shards[stream_id].detector)
                 groups.setdefault(key, []).append((stream_id, rows))
-            group_list = list(groups.values())
-            if self.drain_backend == "process":
-                scored = self._drain_process(shards, group_list)
-            else:
-                scored = [score_shard_group(shards, group, self.batch_size,
-                                            programs=self._programs)
-                          for group in group_list]
             results, failures = {}, {}
-            for group_results, group_failures in scored:
+            for group in groups.values():
+                group_results, group_failures = score_shard_group(
+                    shards, group, self.batch_size, programs=self._programs
+                )
                 results.update(group_results)
                 failures.update(group_failures)
             with self._lock:
@@ -563,7 +473,6 @@ class StreamRouter:
                 for stream_id, scores in results.items():
                     self._scored[stream_id] += scores.shape[0]
                 self._drains += 1
-                self._absorb_program_counters_locked()
             # Streams appear in first-arrival order of the drain, exactly
             # as the serial implementation always returned them.
             results = {stream_id: results[stream_id]
@@ -627,7 +536,6 @@ class StreamRouter:
             return self._save_locked(directory)
 
     def _save_locked(self, directory):
-        self._absorb_program_counters_locked()
         detectors, by_id = [], {}
 
         def register(detector):
@@ -697,8 +605,6 @@ class StreamRouter:
                 "queue_limit": self.queue_limit,
                 "batch_size": self.batch_size,
                 "on_full": self.on_full,
-                "drain_backend": self.drain_backend,
-                "workers": self.workers,
             },
             "detectors": detectors,
             "default_detector": default,
@@ -708,7 +614,7 @@ class StreamRouter:
             "queue": [[stream_id, row.tolist()]
                       for stream_id, row in self._queue],
             "drains": self._drains,
-            "program_cache": dict(self._prog_counters),
+            "program_cache": self._program_counters_locked(),
         }
         np.savez(os.path.join(directory, _STATE), **arrays)
         path = os.path.join(directory, _MANIFEST)
@@ -718,8 +624,7 @@ class StreamRouter:
         return path
 
     @classmethod
-    def restore(cls, directory, detector=None, drain_backend=None,
-                workers=None):
+    def restore(cls, directory, detector=None):
         """Rebuild a router saved by :meth:`save`; scoring resumes exactly.
 
         Every shard is rebuilt from its saved spec/weights and reloaded
@@ -739,19 +644,16 @@ class StreamRouter:
         ``score_new`` shards whose fitted state could not be persisted are
         rejected here, up front, with the remedy — never at first drain.
 
-        ``drain_backend=``/``workers=`` override the saved execution
-        backend (they change *where* forwards run, never what they
-        compute, so overriding them cannot perturb restored scores).  For
-        the same reason a saved backend this version no longer offers
-        restores as ``'serial'``.
+        Manifests written by versions that offered other drain backends
+        carry a backend name and a worker count in their config; both are
+        ignored, since a backend only chose where forwards ran, never
+        what they computed.
         """
         with open(os.path.join(directory, _MANIFEST)) as handle:
             manifest = json.load(handle)
         if manifest.get("format") != "repro.router":
             raise ValueError("%s is not a router manifest" % directory)
         config = manifest["config"]
-        if drain_backend is None and config.get("drain_backend") in _BACKENDS:
-            drain_backend = config["drain_backend"]
         built, spec_only = {}, set()
 
         def build(index):
@@ -789,9 +691,6 @@ class StreamRouter:
             queue_limit=config["queue_limit"],
             batch_size=config["batch_size"],
             on_full=config["on_full"],
-            drain_backend=drain_backend,
-            workers=(workers if workers is not None
-                     else config.get("workers")),
         )
         state_path = os.path.join(directory, _STATE)
         blob = np.load(state_path) if os.path.exists(state_path) else None
@@ -842,26 +741,16 @@ class StreamRouter:
         # first drain — a miss, counted on top of the restored totals).
         saved_counters = manifest.get("program_cache")
         if saved_counters:
-            router._prog_counters.update(saved_counters)
+            router._prog_baseline.update(saved_counters)
         return router
 
     # ------------------------------------------------------------------ #
     # observability
-    def _absorb_program_counters_locked(self):
-        """Fold pending compiled-path cache deltas into the persistent
-        totals; caller must hold ``self._lock``.
-
-        Two delta sources: the in-process :class:`InferencePrograms` used
-        by the serial backend, and — when the process backend has
-        ever run — the per-worker caches, whose deltas the pool collected
-        from drain payloads.
-        """
-        deltas = [self._programs.take_counters()]
-        if self._procs is not None:
-            deltas.append(self._procs.take_program_counters())
-        for delta in deltas:
-            for key, value in delta.items():
-                self._prog_counters[key] += value
+    def _program_counters_locked(self):
+        """Compiled-path cache totals: the restored baseline plus this
+        router's cache counters; caller must hold ``self._lock``."""
+        return {key: self._prog_baseline.get(key, 0) + value
+                for key, value in self._programs.counters().items()}
 
     def _stream_stats_locked(self, stream_id):
         """One stream's counters; caller must hold ``self._lock``."""
@@ -918,7 +807,6 @@ class StreamRouter:
         rows, and no counter can tear against a concurrent drain.
         """
         with self._lock:
-            self._absorb_program_counters_locked()
             return {
                 "streams": len(self._shards),
                 "queue_depth": len(self._queue),
@@ -931,10 +819,8 @@ class StreamRouter:
                 # and stacked-program lookups (a drain whose membership
                 # differs from the last one is a hit plus a weight
                 # gather); invalidations count only parameter rebinds
-                # (weight hot-swaps) detected at lookup time.  Aggregated
-                # across backends (worker processes ship their deltas
-                # home).
-                "program_cache": dict(self._prog_counters),
+                # (weight hot-swaps) detected at lookup time.
+                "program_cache": self._program_counters_locked(),
                 "per_stream": {
                     stream_id: self._stream_stats_locked(stream_id)
                     for stream_id in self._shards

@@ -6,6 +6,7 @@ traffic must surface as counted, per-stream error events and ``ERR``/400
 replies — never as a dropped connection or a crashed serving loop.
 """
 
+import itertools
 import json
 import socket
 import urllib.error
@@ -13,6 +14,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     DrainError,
@@ -124,6 +127,42 @@ def test_engine_counts_non_finite_lines_and_keeps_scores_finite():
     assert [row[2] for row in delivered["o"]] == [1.0, 2.0, 3.0]
 
 
+# Cells a producer might send: non-finite spellings, overflow to inf,
+# empty and very long numerals, and arbitrary text.
+_CELLS = st.one_of(
+    st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e309", "-1e309",
+                     "", " ", "1e-320", "0", "1_000", "9" * 400]),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+# Blank, unicode and huge stream ids next to ordinary ones.
+_STREAM_IDS = st.one_of(
+    st.sampled_from(["", " ", "\t", "s", "流", "\u2028", "x" * 10_000]),
+    st.text(max_size=6),
+)
+_STRUCTURED_LINES = st.builds(
+    lambda sid, cells: ",".join([sid] + cells),
+    _STREAM_IDS, st.lists(_CELLS, max_size=4),
+)
+
+
+@given(st.lists(st.one_of(st.text(max_size=40), _STRUCTURED_LINES),
+                max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_engine_submit_line_fuzz_counts_every_line(lines):
+    """Whatever a producer sends, ``submit_line`` never raises, every
+    non-blank line is either one accepted arrival or one counted error,
+    and no NaN or inf reaches the queue."""
+    engine = make_engine()
+    for line in lines:
+        reply = engine.submit_line("o", line)
+        assert reply is None or isinstance(reply, str)
+    stats = engine.stats()
+    assert (stats["submitted"] + stats["frontend"]["error_total"]
+            == sum(1 for line in lines if line.strip()))
+    assert all(np.isfinite(row).all() for __, row in engine.router._queue)
+
+
 def test_engine_keeps_segments_of_failed_streams_for_the_retry():
     engine = make_engine()
     got = []
@@ -172,7 +211,6 @@ def tcp_frontend():
     frontend = TcpFrontend(engine, port=0).start()
     yield frontend
     frontend.stop()
-    engine.router.close()
 
 
 def test_tcp_round_trip_scores_own_submissions(tcp_frontend):
@@ -270,7 +308,6 @@ def http_frontend():
     frontend = HttpFrontend(engine, port=0).start()
     yield frontend
     frontend.stop()
-    engine.router.close()
 
 
 def http_post(address, path, body, headers=None):
@@ -368,6 +405,77 @@ def test_http_non_finite_values_are_per_arrival_errors(http_frontend):
     assert http_frontend.engine.stats()["frontend"]["error_total"] == 2
 
 
+@pytest.mark.parametrize("body", [
+    b"[1, 2]", b"null", b"3", b'"x"',
+    b"[" * 5000 + b"]" * 5000,  # valid, but deeper than the decoder recurses
+], ids=["list", "null", "number", "string", "deep"])
+def test_http_non_object_body_is_answered_400(http_frontend, body):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        http_post(http_frontend.address, "/submit", body)
+    assert excinfo.value.code == 400
+    status, __ = http_get(http_frontend.address, "/stats")
+    assert status == 200
+
+
+def test_http_blank_stream_id_is_a_per_arrival_error(http_frontend):
+    body = json.dumps({"arrivals": [
+        {"stream": "", "values": [1.0]},
+        {"stream": "  ", "values": [2.0]},
+        {"stream": "a", "values": [3.0]},
+    ]}).encode()
+    status, reply = http_post(http_frontend.address, "/submit", body)
+    assert status == 200
+    assert reply["accepted"] == 1
+    assert [error["arrival"] for error in reply["errors"]] == [0, 1]
+    assert http_frontend.engine.router.streams() == ["a"]
+    assert http_frontend.engine.stats()["frontend"]["errors"] == {
+        "<invalid>": 2}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=4)),
+    max_leaves=12,
+)
+_ARRIVAL = st.one_of(_JSON, st.fixed_dictionaries(
+    {"stream": st.one_of(_STREAM_IDS, _JSON), "values": _JSON},
+))
+_DOCUMENTS = st.one_of(_JSON, st.fixed_dictionaries(
+    {"arrivals": st.one_of(st.lists(_ARRIVAL, max_size=4), _JSON)},
+    optional={"drain": _JSON},
+))
+
+
+def test_http_fuzz_answers_200_or_400_and_keeps_serving(http_frontend):
+    """Any JSON document gets a 200 or a 400, and a well-formed request
+    right after it is still served.  (NaN/Infinity literals are fed too:
+    the server's decoder accepts them.)"""
+    address = http_frontend.address
+    follow_ups = itertools.count()
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=60, deadline=None)
+    def check(document):
+        try:
+            status, __ = http_post(address, "/submit",
+                                   json.dumps(document).encode())
+        except urllib.error.HTTPError as exc:
+            status = exc.code
+        assert status in (200, 400)
+        # Never a fuzzed stream id, so never a stream the document
+        # created with another row width.
+        stream_id = "follow-up-%d" % next(follow_ups)
+        status, reply = http_post(address, "/submit", json.dumps(
+            {"arrivals": [{"stream": stream_id, "values": [1.0]}]}
+        ).encode())
+        assert status == 200 and reply["accepted"] == 1
+
+    check()
+
+
 @pytest.mark.parametrize("length", ["-1", "ten"])
 def test_http_bad_content_length_is_answered_400(http_frontend, length):
     """A negative length must not make the handler read until the client
@@ -404,7 +512,6 @@ def test_http_and_tcp_share_one_engine_and_stream_indices():
         client.close()
         http.stop()
         tcp.stop()
-        engine.router.close()
 
 
 def test_http_reply_holds_rows_a_concurrent_drain_delivers_late():
@@ -464,7 +571,6 @@ def test_http_reply_holds_rows_a_concurrent_drain_delivers_late():
     finally:
         del router.drain, engine.drain, engine.register
         http.stop()
-        router.close()
 
 
 def test_http_reply_reports_accepted_arrivals_that_failed_to_score(

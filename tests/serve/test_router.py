@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import EMADetector
-from repro.core import RAE, RDAE
+from repro.core import RAE, RDAE, drain_group_key
 from repro.serve import DrainError, QueueFullError, StreamRouter
 from repro.stream import StreamScorer
 
@@ -285,18 +285,32 @@ def test_stats_surface(fitted_rae, live_streams):
     assert per["lag"] == 5 and per["scored"] == 20 and per["total"] == 20
 
 
-# ------------------- drain backends & concurrency contract -------------- #
+def test_shared_and_per_stream_detectors_match_dedicated_scorers(
+        fitted_rae):
+    """Two streams share one detector and a third holds its own fitted
+    copy of the same spec, so every drain scores all three in one
+    fingerprint group; each stream still scores exactly as a dedicated
+    scorer fed the same chunks."""
+    own = RAE(max_iterations=4, seed=6).fit(make_series(6))
+    assert drain_group_key(own) == drain_group_key(fitted_rae)
+    detectors = {"s0": fitted_rae, "s1": fitted_rae, "s2": own}
+    streams = {sid: make_series(30 + i, length=72)
+               for i, sid in enumerate(detectors)}
+    router = StreamRouter(window=48, min_points=4)
+    solos = {}
+    for sid, detector in detectors.items():
+        router.add_stream(sid, detector)
+        solos[sid] = StreamScorer(detector, window=48, min_points=4)
+    for lo in range(0, 72, 6):
+        for sid, series in streams.items():
+            router.submit_many(sid, series[lo:lo + 6])
+        results = router.drain()
+        for sid, series in streams.items():
+            expected = solos[sid].push_many(series[lo:lo + 6])
+            assert np.array_equal(results[sid], expected), (sid, lo)
 
-def test_drain_backend_validation(fitted_rae):
-    with pytest.raises(ValueError):
-        StreamRouter(fitted_rae, drain_backend="bogus")
-    with pytest.raises(ValueError, match="drain_backend"):
-        StreamRouter(fitted_rae, drain_backend="threaded")
-    assert StreamRouter(fitted_rae).drain_backend == "serial"
-    # workers alone never selects a parallel backend; serial ignores it.
-    router = StreamRouter(fitted_rae, workers=4)
-    assert router.drain_backend == "serial" and router.workers == 4
-    assert StreamRouter(fitted_rae, drain_backend="process").workers == 2
+
+# ------------------------- concurrency contract ------------------------- #
 
 
 def test_concurrent_submits_never_lose_arrivals(fitted_rae):

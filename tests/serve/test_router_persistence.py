@@ -190,44 +190,34 @@ def test_router_accepts_specs(history):
     assert scores.shape == (30,)
 
 
-def test_restore_carries_drain_backend_and_cache(fitted_rae, history,
-                                                 tmp_path):
-    """The execution config and each session's tail-forward splice cache
-    survive the round trip: a restored shard resumes bounded pushes
-    immediately, scoring subsequent arrivals bit-identically."""
-    router = StreamRouter(fitted_rae, window=48,
-                          drain_backend="process", workers=3)
+def test_restore_carries_tail_forward_cache(fitted_rae, history, tmp_path):
+    """Each session's tail-forward splice cache survives the round trip:
+    a restored shard resumes bounded pushes immediately, scoring
+    subsequent arrivals bit-identically."""
+    router = StreamRouter(fitted_rae, window=48)
     _feed(router, {"a": history[:60], "b": history[60:120]})
     router.save(tmp_path / "state")
 
     restored = StreamRouter.restore(tmp_path / "state")
-    try:
-        assert restored.drain_backend == "process" and restored.workers == 3
-        for sid in ("a", "b"):
-            live_session = router.stream(sid)._session
-            back_session = restored.stream(sid)._session
-            assert back_session._cache_total == live_session._cache_total
-            assert np.array_equal(back_session._cache_scores,
-                                  live_session._cache_scores)
-        live = _feed(router, {"a": history[120:125], "b": history[125:130]})
-        back = _feed(restored, {"a": history[120:125], "b": history[125:130]})
-        for sid in live:
-            assert np.array_equal(live[sid], back[sid])
-        # Execution knobs are overridable at restore time.
-        serial = StreamRouter.restore(tmp_path / "state",
-                                      drain_backend="serial", workers=1)
-        assert serial.drain_backend == "serial"
-    finally:
-        router.close()
-        restored.close()
+    for sid in ("a", "b"):
+        live_session = router.stream(sid)._session
+        back_session = restored.stream(sid)._session
+        assert back_session._cache_total == live_session._cache_total
+        assert np.array_equal(back_session._cache_scores,
+                              live_session._cache_scores)
+    live = _feed(router, {"a": history[120:125], "b": history[125:130]})
+    back = _feed(restored, {"a": history[120:125], "b": history[125:130]})
+    for sid in live:
+        assert np.array_equal(live[sid], back[sid])
 
 
+@pytest.mark.parametrize("backend", ["threaded", "process"])
 def test_restore_reads_a_removed_backend_as_serial(fitted_rae, history,
-                                                   tmp_path):
+                                                   tmp_path, backend):
     """A router saved under a drain backend this version no longer offers
-    (``threaded``) resumes on the serial path: backends change where
-    forwards run, never what they compute, so its scores are bit-equal
-    to the never-restarted router's."""
+    resumes on the serial path: backends changed where forwards ran,
+    never what they computed, so its scores are bit-equal to the
+    never-restarted router's."""
     import json
 
     live = StreamRouter(fitted_rae, window=48)
@@ -236,11 +226,10 @@ def test_restore_reads_a_removed_backend_as_serial(fitted_rae, history,
     live.save(tmp_path / "state")
     manifest_path = tmp_path / "state" / "router.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["config"].update(drain_backend="threaded", workers=4)
+    manifest["config"].update(drain_backend=backend, workers=3)
     manifest_path.write_text(json.dumps(manifest))
 
     restored = StreamRouter.restore(tmp_path / "state")
-    assert restored.drain_backend == "serial"
     assert restored.stats() == live.stats()
     chunks = {"a": history[124:130], "b": history[130:136]}
     expected, got = _feed(live, chunks), _feed(restored, chunks)

@@ -574,30 +574,19 @@ def test_stream_builds_from_spec(streaming_csv, spec_path, capsys):
 
 
 # --------------------------------------------------------------------------- #
-# serve: drain backends and network frontends
-
-
-def test_serve_process_backend_matches_serial_output(serve_setup, capsys):
-    """--drain-backend process scores the feed bit-identically to serial."""
-    model_path, feed_path, per_stream = serve_setup
-    base = ["serve", "--input", str(feed_path), "--model", str(model_path),
-            "--window", "32", "--drain-every", "16"]
-    assert main(base) == 0
-    serial_out = capsys.readouterr().out
-    assert main(base + ["--drain-backend", "process", "--workers", "2"]) == 0
-    process_out = capsys.readouterr().out
-    assert process_out == serial_out
-    assert len(serial_out.splitlines()) == 3 * per_stream
+# serve: network frontends
 
 
 def test_serve_drain_backend_flag_is_validated(capsys):
-    # Removed backend names fail like any unknown one.
-    for backend in ("turbo", "threaded", "auto"):
+    # The drain-backend knobs were removed with the backends they chose.
+    for flags in (["--drain-backend", "process"],
+                  ["--drain-backend", "serial"],
+                  ["--workers", "2"]):
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--input", "-", "--method", "EMA",
-                  "--drain-backend", backend])
+            main(["serve", "--input", "-", "--method", "EMA"] + flags)
         assert excinfo.value.code == 2
-        assert "invalid choice: '%s'" % backend in capsys.readouterr().err
+        assert ("unrecognized arguments: %s" % " ".join(flags)
+                in capsys.readouterr().err)
 
 
 def _spawn_serve(args, timeout=30.0):
@@ -646,8 +635,7 @@ def test_serve_tcp_frontend_scores_then_drains_on_sigterm(serve_setup,
     state_dir = tmp_path / "state"
     proc, banners = _spawn_serve([
         "serve", "--model", str(model_path), "--window", "32",
-        "--tcp", "0", "--drain-backend", "process", "--workers", "2",
-        "--drain-every", "4", "--state-dir", str(state_dir),
+        "--tcp", "0", "--drain-every", "4", "--state-dir", str(state_dir),
     ])
     try:
         port = _banner_port(banners, "TCP line protocol")
@@ -673,13 +661,11 @@ def test_serve_tcp_frontend_scores_then_drains_on_sigterm(serve_setup,
         raise
     assert proc.returncode == 0
     assert "saved router state" in err
-    # The SIGTERM shutdown persisted the router with its backend choice.
+    # The SIGTERM shutdown persisted the router, tail included.
     from repro.serve import StreamRouter
 
     restored = StreamRouter.restore(state_dir)
-    assert restored.drain_backend == "process"
     assert restored.stats()["per_stream"]["web"]["scored"] == 4
-    restored.close()
 
 
 def test_serve_http_frontend_round_trip(serve_setup):
